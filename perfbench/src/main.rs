@@ -19,10 +19,10 @@
 //! `--trace 1` it records spans and prints the per-layer metrics, each
 //! layer's self time, and the tracing overhead against the last untraced
 //! run of the workload. Every certified map is re-checked (exact record
-//! plus 1000 seeded traces). A map the exact record accepts but the traces
-//! refute — the certificate's known defect — is reported and not counted as
-//! certified; any other wrong verdict fails the run. The last stdout line
-//! is the result object.
+//! plus 1000 seeded traces). A wrong verdict fails the run, unless it is a
+//! map on the workload's list of maps known to be refuted at the commit
+//! that added the benchmark: those are named and counted in `error_ratio`,
+//! and the run passes. The last stdout line is the result object.
 
 mod layers;
 mod measure;
@@ -133,13 +133,11 @@ pub struct Measured {
     pub slices: Vec<Slice>,
     pub setup_s: Vec<f64>,
     pub peak_rss_mb: f64,
-    /// Wrong verdicts, named.
-    pub wrong: Vec<String>,
-    /// Certified maps the exact record accepts but seeded traces refute
-    /// (the known certificate defect): reported, not certified, not failed.
-    pub refuted: Vec<String>,
-    /// Certified maps the trace check could not cover.
-    pub unchecked: Vec<String>,
+    /// The verdict checks: wrong and unchecked verdicts fail the run; known
+    /// wrong verdicts are named and counted in `error_ratio` only.
+    pub checks: solve::Checks,
+    /// Requests answered with a known wrong verdict.
+    pub known_wrong_requests: usize,
     /// Extra run-record entries.
     pub record: Vec<(&'static str, Json)>,
     /// Non-additive per-layer metrics.
@@ -310,7 +308,12 @@ fn report(args: &Args, listed: &[Listed], measured: Measured) -> ExitCode {
         .iter()
         .filter_map(|sample| sample.failure.as_ref())
         .collect();
-    let failed = (errors.len() + measured.wrong.len() + measured.unchecked.len()).min(attempted);
+    let checks = &measured.checks;
+    let failed = (errors.len() + checks.wrong.len() + checks.unchecked.len()).min(attempted);
+    let error_ratio = ratio(
+        (failed + measured.known_wrong_requests).min(attempted) as f64,
+        attempted as f64,
+    );
     let answered: Vec<&Sample> = measured
         .samples
         .iter()
@@ -349,18 +352,18 @@ fn report(args: &Args, listed: &[Listed], measured: Measured) -> ExitCode {
     for problem in errors
         .iter()
         .map(|e| format!("failed operation: {e}"))
-        .chain(measured.wrong.iter().map(|w| format!("wrong verdict: {w}")))
+        .chain(checks.wrong.iter().map(|w| format!("wrong verdict: {w}")))
         .chain(
-            measured
+            checks
                 .unchecked
                 .iter()
                 .map(|u| format!("unchecked map: {u}")),
         )
         .chain(
-            measured
-                .refuted
+            checks
+                .known_wrong
                 .iter()
-                .map(|r| format!("refuted certificate: {r}")),
+                .map(|k| format!("known wrong verdict (does not fail the run): {k}")),
         )
     {
         let _ = writeln!(out, "  {problem}");
@@ -380,7 +383,7 @@ fn report(args: &Args, listed: &[Listed], measured: Measured) -> ExitCode {
             ("cpu_s_per_program", cpu_per_program),
             ("peak_rss_mb", measured.peak_rss_mb),
             ("setup_s", measure::median(&measured.setup_s)),
-            ("error_ratio", ratio(failed as f64, attempted as f64)),
+            ("error_ratio", error_ratio),
         ];
         for (name, value) in &end_to_end {
             let unit = listed

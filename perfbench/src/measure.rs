@@ -85,6 +85,12 @@ pub fn peak_rss_mb(pid: &str) -> Option<f64> {
     Some(kib / 1024.0)
 }
 
+/// Resets this process's `VmHWM` to its current resident size (Linux
+/// `clear_refs`), so a later reading covers only what ran since.
+pub fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
 /// Seconds since `epoch`.
 pub fn since(epoch: Instant) -> f64 {
     epoch.elapsed().as_secs_f64()

@@ -23,7 +23,7 @@ use polyinv_validate::{generate_program, GenConfig};
 
 use crate::layers::{Origin, SolveCounts, Spans};
 use crate::measure::{self, Rng};
-use crate::solve::{check_certified, serve_weak, Verdict};
+use crate::solve::{serve_weak, Checks, Class};
 use crate::{Args, Measured, Sample, ServerFigures, Slice};
 
 /// Worker threads of the server.
@@ -34,12 +34,10 @@ const CONNECTIONS: usize = 2;
 const POOL_SEED: u64 = 20_200_615;
 /// The seed shuffles the fresh stream within blocks of this many programs.
 const SHUFFLE_BLOCK: usize = 32;
-/// Requests per second of `--seconds`. Runs do fixed work, so a faster
-/// server finishes sooner; at the ~21 requests/s served on two cores when
-/// the benchmark was defined, a run lasts about 1.4 × `--seconds` — longer
-/// than the other workloads, because a slow minute of a shared host then
-/// spoils fewer runs.
-const NOMINAL_REQUESTS_PER_S: f64 = 30.0;
+/// Requests per second of `--seconds`: about the rate served on two cores
+/// when the benchmark was defined (19–23 requests/s). Runs do fixed work,
+/// so a faster server finishes sooner.
+const NOMINAL_REQUESTS_PER_S: f64 = 20.0;
 /// Share of requests that repeat a recent program, in percent.
 const REPEAT_PERCENT: usize = 30;
 /// A repeat picks one of the `REPEAT_WINDOW` fresh programs sent at least
@@ -52,8 +50,17 @@ const SAMPLED_CHECKS: usize = 12;
 /// Slices of the requests, by completion order; throughput and CPU per
 /// program are medians over them.
 const THROUGHPUT_SLICES: usize = 5;
-/// Server starts per run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 5;
+/// Server starts per run; `setup_s` is their median. The first
+/// `STARTS_BEFORE` come before the load (the last of them serves it), the
+/// rest after it, so one slow stretch of a shared machine moves the median
+/// little.
+const SETUP_REPEATS: usize = 17;
+const STARTS_BEFORE: usize = 9;
+/// Programs of the fixed stream whose certified map seeded traces refute at
+/// the commit that added the benchmark (see `KNOWN_REFUTED_ROWS`). Their
+/// wrong verdicts are named and counted in `error_ratio` without failing
+/// the run; a refuted map of any other program fails it.
+const KNOWN_REFUTED_FUZZ: [usize; 6] = [15, 34, 119, 169, 307, 541];
 /// Per-request socket timeout.
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -361,19 +368,17 @@ pub fn run(args: &Args) -> Result<Measured, String> {
         ((args.seconds * NOMINAL_REQUESTS_PER_S).round() as usize).max(THROUGHPUT_SLICES);
     let (sources, plan) = build_inputs(args.seed, requests);
 
-    let mut setup_s = Vec::new();
-    let mut server = None;
-    for attempt in 0..SETUP_REPEATS {
+    let mut setup_s = Vec::with_capacity(SETUP_REPEATS);
+    let start_server = |setup_s: &mut Vec<f64>| {
         let start = Instant::now();
         let started = Server::start(&args.polyinv)?;
         setup_s.push(measure::since(start));
-        if attempt + 1 < SETUP_REPEATS {
-            started.stop()?;
-        } else {
-            server = Some(started);
-        }
+        Ok::<Server, String>(started)
+    };
+    for _ in 1..STARTS_BEFORE {
+        start_server(&mut setup_s)?.stop()?;
     }
-    let server = server.expect("at least one server start");
+    let server = start_server(&mut setup_s)?;
     let pid = server.pid();
     let before = server.metrics()?;
 
@@ -382,10 +387,15 @@ pub fn run(args: &Args) -> Result<Measured, String> {
     let peak_rss_mb = measure::peak_rss_mb(&pid).unwrap_or(0.0);
     let after = server.metrics()?;
     server.stop()?;
+    for _ in STARTS_BEFORE..SETUP_REPEATS {
+        start_server(&mut setup_s)?.stop()?;
+    }
 
     // Tally, check bodies, trace.
     let mut samples = Vec::with_capacity(exchanges.len());
     let mut wrong = Vec::new();
+    // Programs answered per request, for the known wrong verdicts.
+    let mut answered_programs = Vec::with_capacity(exchanges.len());
     let mut miss_bodies: HashMap<usize, Vec<&str>> = HashMap::new();
     let mut hits: Vec<(usize, &str)> = Vec::new();
     let mut reports: HashMap<usize, SynthesisReport> = HashMap::new();
@@ -418,6 +428,7 @@ pub fn run(args: &Args) -> Result<Measured, String> {
             Ok((_, hit, body)) => match parse_canonical(body) {
                 Err(reason) => sample.failure = Some(format!("{label}: {reason}")),
                 Ok(report) => {
+                    answered_programs.push(exchange.program);
                     sample.synthesized = report.status == ReportStatus::Synthesized;
                     if !matches!(
                         report.status,
@@ -479,8 +490,12 @@ pub fn run(args: &Args) -> Result<Measured, String> {
         }
     }
 
-    let sampled = check_sample(args, &sources, &reports);
-    wrong.extend(sampled.wrong);
+    let mut sampled = check_sample(args, &sources, &reports);
+    sampled.checks.wrong.extend(wrong);
+    let known_wrong_requests = answered_programs
+        .iter()
+        .filter(|program| sampled.known_wrong.contains(program))
+        .count();
 
     // Throughput and CPU per slice of the window: a request counts in the
     // slice it completed in; the server's CPU was read at each boundary.
@@ -522,8 +537,8 @@ pub fn run(args: &Args) -> Result<Measured, String> {
         ("server_workers", count(WORKERS)),
         ("repeat_percent", count(REPEAT_PERCENT)),
         ("sampled_in_process", count(sampled.compared)),
-        ("maps_checked", count(sampled.maps_checked)),
-        ("maps_refuted", count(sampled.refuted.len())),
+        ("maps_checked", count(sampled.checks.checked())),
+        ("known_refuted_maps", count(sampled.known_wrong.len())),
         ("cache_hits", count(cache_hits)),
         ("cache_evictions", Json::Number(figures.evictions)),
     ];
@@ -537,9 +552,8 @@ pub fn run(args: &Args) -> Result<Measured, String> {
         slices,
         setup_s,
         peak_rss_mb,
-        wrong,
-        refuted: sampled.refuted,
-        unchecked: sampled.unchecked,
+        checks: sampled.checks,
+        known_wrong_requests,
         record,
         layers,
         spans,
@@ -551,10 +565,9 @@ pub fn run(args: &Args) -> Result<Measured, String> {
 #[derive(Default)]
 struct SampleChecks {
     compared: usize,
-    maps_checked: usize,
-    wrong: Vec<String>,
-    refuted: Vec<String>,
-    unchecked: Vec<String>,
+    checks: Checks,
+    /// Sampled programs whose map is a known wrong verdict.
+    known_wrong: Vec<usize>,
 }
 
 /// Re-runs a seeded sample of the served programs in process: each report
@@ -579,14 +592,14 @@ fn check_sample(
                 checks.compared += 1;
                 if local.canonical().to_json_string() != served.clone().canonical().to_json_string()
                 {
-                    checks.wrong.push(format!(
+                    checks.checks.wrong.push(format!(
                         "fuzz-{program}: served report differs from in-process Engine::run \
                          (canonical form)"
                     ));
                 }
             }
             Err(error) => {
-                checks.wrong.push(format!(
+                checks.checks.wrong.push(format!(
                     "fuzz-{program}: served a report, Engine::run fails: {error}"
                 ));
                 continue;
@@ -607,19 +620,16 @@ fn check_sample(
             Ok(local) => local,
             Err(error) => {
                 checks
+                    .checks
                     .wrong
                     .push(format!("fuzz-{program}: in-process solve fails: {error}"));
                 continue;
             }
         };
-        checks.maps_checked += 1;
-        match check_certified(&local, args.seed) {
-            Verdict::Sound => {}
-            Verdict::Refuted(reason) => checks.refuted.push(format!("fuzz-{program}: {reason}")),
-            Verdict::Wrong(reason) => checks.wrong.push(format!("fuzz-{program}: {reason}")),
-            Verdict::Unchecked(reason) => {
-                checks.unchecked.push(format!("fuzz-{program}: {reason}"))
-            }
+        let known = KNOWN_REFUTED_FUZZ.contains(&program);
+        let label = format!("fuzz-{program}");
+        if checks.checks.check(&label, known, &local, args.seed) == Class::KnownWrong {
+            checks.known_wrong.push(program);
         }
     }
     checks

@@ -9,7 +9,7 @@ share of the median, as `statistics.quantiles(values, n=4)` gives them),
 the metric's bound, and whether
 
 * every spread stays within the bound (and within a third of it, the
-  target the bounds are set with), `setup_s` excepted;
+  target the bounds are set with);
 * every later set's median is not worse than the first set's by more than
   the bound.
 
@@ -66,17 +66,15 @@ def main():
     parser.add_argument("--workloads", help="comma-separated (default: all)")
     parser.add_argument("--runs", type=int, default=10, help="runs per set")
     parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, help="override run_seconds")
     args = parser.parse_args()
 
     with open("BENCHMARK.json") as handle:
         bench = json.load(handle)
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
-    seeds = list(range(args.first_seed, args.first_seed + args.runs))
+    seeds = list(range(1, args.runs + 1))
 
     raw = {}
     failed = False
@@ -109,12 +107,11 @@ def main():
                 medians.append(median)
                 width = spread(values[name]) if len(values[name]) > 1 else 0.0
                 cells.append(f"{median:>14.6g} {width:>7.3f}")
-                if name != "setup_s":
-                    if width > bound:
-                        notes.append("spread over bound")
-                        failed = True
-                    elif width > bound / 3:
-                        notes.append("spread over bound/3")
+                if width > bound:
+                    notes.append("spread over bound")
+                    failed = True
+                elif width > bound / 3:
+                    notes.append("spread over bound/3")
             for later in medians[1:]:
                 if worse_by(medians[0], later, metric["better"]) > bound:
                     notes.append("median worse than set 1 by more than the bound")
