@@ -2,7 +2,7 @@
 # Builds the `polyinv` CLI and the benchmark binary from source, then runs
 # the benchmark. Run from the repository root:
 #
-#   bash perfbench/run.sh --workload table-rung0 --seed 1 --seconds 30 --trace 0
+#   bash perfbench/run.sh --workload table-rung0 --seed 1 --seconds 33 --trace 0
 #
 # Build output goes to stderr; the benchmark's last stdout line is the result
 # object. Outside a full checkout (no workspace manifest next to

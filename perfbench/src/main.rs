@@ -116,21 +116,14 @@ pub struct ServerFigures {
     pub hit_ratio: f64,
 }
 
-/// A slice of the measured time (a pass over the rows, or a fixed share of
-/// a served run): throughput and CPU per program are medians over slices,
-/// so a slow stretch on a shared machine moves them less.
-pub struct Slice {
-    pub verdicts: usize,
-    pub seconds: f64,
-    /// CPU seconds of the synthesizing process, when sampled per slice.
-    pub cpu_s: Option<f64>,
-}
-
 /// What a workload run measured.
 pub struct Measured {
     pub samples: Vec<Sample>,
+    /// The measured time: the time spent in requests (in process) or the
+    /// length of the served load.
     pub window_s: f64,
-    pub slices: Vec<Slice>,
+    /// User plus system CPU of the synthesizing process over `window_s`.
+    pub cpu_s: f64,
     pub setup_s: Vec<f64>,
     pub peak_rss_mb: f64,
     /// The verdict checks: wrong and unchecked verdicts fail the run; known
@@ -179,12 +172,19 @@ fn parse_args() -> Result<Args, String> {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Pin the solver's thread budget to at most the core count (and export
     // it to the server child) so runs on different machines say what they
-    // ran with.
+    // ran with. On `table-rung0` the penalty lane runs beside the LM lane's
+    // restart threads for most of every race, so the budget there leaves it
+    // a core: the busy threads never outnumber the cores.
+    let default_threads = if workload.as_deref() == Some("table-rung0") {
+        nproc.saturating_sub(1).max(1)
+    } else {
+        nproc
+    };
     let threads = std::env::var("POLYINV_THREADS")
         .ok()
         .and_then(|raw| raw.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .map_or(nproc, |n| n.min(nproc));
+        .map_or(default_threads, |n| n.min(nproc));
     std::env::set_var("POLYINV_THREADS", threads.to_string());
     let seconds = seconds.ok_or("--seconds is required")?;
     if !(seconds.is_finite() && seconds > 0.0) {
@@ -323,20 +323,8 @@ fn report(args: &Args, listed: &[Listed], measured: Measured) -> ExitCode {
     let (tail, tail_percentile, beyond) = measure::tail(&latencies);
     let certified = answered.iter().filter(|sample| sample.synthesized).count();
     let mean_latency = ratio(latencies.iter().sum(), latencies.len() as f64);
-    let programs_per_s = measure::median(
-        &measured
-            .slices
-            .iter()
-            .map(|slice| ratio(slice.verdicts as f64, slice.seconds))
-            .collect::<Vec<_>>(),
-    );
-    let cpu_per_program = measure::median(
-        &measured
-            .slices
-            .iter()
-            .filter_map(|slice| Some(ratio(slice.cpu_s?, slice.verdicts as f64)))
-            .collect::<Vec<_>>(),
-    );
+    let programs_per_s = ratio(latencies.len() as f64, measured.window_s);
+    let cpu_per_program = ratio(measured.cpu_s, latencies.len() as f64);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -438,17 +426,6 @@ fn run_record(
     beyond: usize,
     samples: usize,
 ) -> Json {
-    let slices = measured
-        .slices
-        .iter()
-        .map(|slice| {
-            Json::object(vec![
-                ("verdicts", Json::Number(slice.verdicts as f64)),
-                ("seconds", Json::Number(slice.seconds)),
-                ("cpu_s", slice.cpu_s.map_or(Json::Null, Json::Number)),
-            ])
-        })
-        .collect();
     let mut fields = vec![
         ("workload", Json::string(args.workload.as_str())),
         ("seed", Json::string(args.seed.to_string())),
@@ -479,7 +456,7 @@ fn run_record(
             Json::Array(measured.setup_s.iter().copied().map(Json::Number).collect()),
         ),
         ("window_s", Json::Number(measured.window_s)),
-        ("slices", Json::Array(slices)),
+        ("cpu_s", Json::Number(measured.cpu_s)),
     ];
     fields.extend(
         measured

@@ -24,7 +24,7 @@ use polyinv_validate::{generate_program, GenConfig};
 use crate::layers::{Origin, SolveCounts, Spans};
 use crate::measure::{self, Rng};
 use crate::solve::{serve_weak, Checks, Class};
-use crate::{Args, Measured, Sample, ServerFigures, Slice};
+use crate::{Args, Measured, Sample, ServerFigures};
 
 /// Worker threads of the server.
 const WORKERS: usize = 2;
@@ -47,9 +47,6 @@ const REPEAT_LAG: usize = 16;
 /// Served programs re-run in process per run: compared with `Engine::run`
 /// in canonical form, and their certified maps verdict-checked.
 const SAMPLED_CHECKS: usize = 12;
-/// Slices of the requests, by completion order; throughput and CPU per
-/// program are medians over them.
-const THROUGHPUT_SLICES: usize = 5;
 /// Server starts per run; `setup_s` is their median. The first
 /// `STARTS_BEFORE` come before the load (the last of them serves it), the
 /// rest after it, so one slow stretch of a shared machine moves the median
@@ -263,19 +260,8 @@ struct Exchange {
     response: Result<(u16, bool, String), String>,
 }
 
-/// Increments a counter when dropped.
-struct Finished<'a>(&'a AtomicUsize);
-
-impl Drop for Finished<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_add(1, Ordering::Release);
-    }
-}
-
 /// Sends the plan over `connections` closed-loop clients. Returns what the
-/// clients saw, the server's CPU at the start, at each slice boundary of
-/// the completed requests and at the end (as `(seconds, cpu_s)`), and the
-/// length of the window.
+/// clients saw, the server's CPU over the window and the window's length.
 fn drive(
     args: &Args,
     server: &Server,
@@ -283,36 +269,15 @@ fn drive(
     sources: &[String],
     plan: &[usize],
     pid: &str,
-) -> (Vec<Exchange>, Vec<(f64, f64)>, f64) {
-    let requests = plan.len();
+) -> (Vec<Exchange>, f64, f64) {
     let next = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let finished = AtomicUsize::new(0);
-    let epoch = Instant::now();
     let server_cpu = || measure::cpu_seconds(pid).unwrap_or(0.0);
-    let mut cpu_marks = vec![(0.0, server_cpu())];
+    let cpu_start = server_cpu();
+    let epoch = Instant::now();
     let exchanges: Vec<Exchange> = std::thread::scope(|scope| {
-        // Reads the server's CPU each time another slice of the requests
-        // has completed.
-        let sampler = scope.spawn(|| {
-            let mut marks = Vec::with_capacity(THROUGHPUT_SLICES - 1);
-            for slice in 1..THROUGHPUT_SLICES {
-                let boundary = requests * slice / THROUGHPUT_SLICES;
-                while completed.load(Ordering::Acquire) < boundary
-                    && finished.load(Ordering::Acquire) < connections
-                {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                marks.push((measure::since(epoch), server_cpu()));
-            }
-            marks
-        });
         let clients: Vec<_> = (0..connections)
             .map(|_| {
                 scope.spawn(|| {
-                    // Counts this client out even if it panics, so the
-                    // sampler never waits for requests that will not come.
-                    let _finished = Finished(&finished);
                     let mut seen = Vec::new();
                     loop {
                         let index = next.fetch_add(1, Ordering::Relaxed);
@@ -336,7 +301,6 @@ fn drive(
                                     (response.status, hit, response.body)
                                 })
                                 .map_err(|error| error.to_string());
-                        completed.fetch_add(1, Ordering::Release);
                         seen.push(Exchange {
                             program,
                             start,
@@ -349,23 +313,19 @@ fn drive(
                 })
             })
             .collect();
-        let exchanges = clients
+        clients
             .into_iter()
             .flat_map(|client| client.join().expect("client thread panicked"))
-            .collect();
-        cpu_marks.extend(sampler.join().expect("sampler thread panicked"));
-        exchanges
+            .collect()
     });
     let window_s = measure::since(epoch);
-    cpu_marks.push((window_s, server_cpu()));
-    (exchanges, cpu_marks, window_s)
+    (exchanges, server_cpu() - cpu_start, window_s)
 }
 
 /// Runs `serve-fuzz`.
 pub fn run(args: &Args) -> Result<Measured, String> {
     // Fixed work: the request count is `--seconds` at the nominal rate.
-    let requests =
-        ((args.seconds * NOMINAL_REQUESTS_PER_S).round() as usize).max(THROUGHPUT_SLICES);
+    let requests = ((args.seconds * NOMINAL_REQUESTS_PER_S).round() as usize).max(1);
     let (sources, plan) = build_inputs(args.seed, requests);
 
     let mut setup_s = Vec::with_capacity(SETUP_REPEATS);
@@ -383,7 +343,7 @@ pub fn run(args: &Args) -> Result<Measured, String> {
     let before = server.metrics()?;
 
     let connections = CONNECTIONS.min(args.nproc).max(1);
-    let (exchanges, cpu_marks, window_s) = drive(args, &server, connections, &sources, &plan, &pid);
+    let (exchanges, cpu_s, window_s) = drive(args, &server, connections, &sources, &plan, &pid);
     let peak_rss_mb = measure::peak_rss_mb(&pid).unwrap_or(0.0);
     let after = server.metrics()?;
     server.stop()?;
@@ -497,27 +457,6 @@ pub fn run(args: &Args) -> Result<Measured, String> {
         .filter(|program| sampled.known_wrong.contains(program))
         .count();
 
-    // Throughput and CPU per slice of the window: a request counts in the
-    // slice it completed in; the server's CPU was read at each boundary.
-    let mut slices: Vec<Slice> = Vec::with_capacity(THROUGHPUT_SLICES);
-    for (index, pair) in cpu_marks.windows(2).enumerate() {
-        let ((from, cpu_from), (to, cpu_to)) = (pair[0], pair[1]);
-        let last = index + 2 == cpu_marks.len();
-        let verdicts = samples
-            .iter()
-            .zip(&exchanges)
-            .filter(|(sample, exchange)| {
-                let done = exchange.start + exchange.latency;
-                sample.failure.is_none() && done >= from && (done < to || last)
-            })
-            .count();
-        slices.push(Slice {
-            verdicts,
-            seconds: to - from,
-            cpu_s: Some(cpu_to - cpu_from),
-        });
-    }
-
     let delta = |name: &str| {
         after.get(name).and_then(Json::as_f64).unwrap_or(0.0)
             - before.get(name).and_then(Json::as_f64).unwrap_or(0.0)
@@ -549,7 +488,7 @@ pub fn run(args: &Args) -> Result<Measured, String> {
     Ok(Measured {
         samples,
         window_s,
-        slices,
+        cpu_s,
         setup_s,
         peak_rss_mb,
         checks: sampled.checks,

@@ -24,7 +24,7 @@ use polyinv_validate::{exact_assignment, falsify_traces, instantiate_exact, Trac
 
 use crate::layers::{Origin, SolveCounts, Spans};
 use crate::measure::{self, Rng};
-use crate::{strings, Args, Measured, Sample, Slice};
+use crate::{strings, Args, Measured, Sample};
 
 /// The 17 Table 2/3 rows that certify on the ϒ = 0 rung.
 pub const RUNG0_ROWS: [&str; 17] = [
@@ -96,12 +96,14 @@ pub enum Kind {
 
 impl Kind {
     /// Measured seconds of one pass over the rows on two cores when the
-    /// benchmark was defined (7.1–8.3 s and 29–32 s); `--seconds` divided by
-    /// it, rounded, gives the passes per run (4 for `table-rung0` and 1 for
-    /// `rung2-fixed-work` at the 30 s of BENCHMARK.json).
+    /// benchmark was defined (4.9–5.2 s with a one-thread solver budget, and
+    /// 28–32 s); `--seconds` divided by it, rounded, gives the passes per
+    /// run (7 for `table-rung0` and 1 for `rung2-fixed-work` at the 33 s of
+    /// BENCHMARK.json). With 7 passes `latency_tail_s` of `table-rung0` is
+    /// the median of euclidex2's seven latencies, not an extreme of them.
     fn nominal_pass_seconds(self) -> f64 {
         match self {
-            Kind::TableRung0 => 7.5,
+            Kind::TableRung0 => 5.0,
             Kind::Rung2FixedWork => 30.0,
         }
     }
@@ -465,7 +467,7 @@ pub fn run(kind: Kind, args: &Args) -> Result<Measured, String> {
     let mut samples = Vec::new();
     let mut winners: Vec<String> = Vec::new();
     let mut busy_s = 0.0;
-    let mut slices: Vec<Slice> = Vec::with_capacity(passes);
+    let mut cpu_s = 0.0;
     let epoch = Instant::now();
     let mut request_id = 0u64;
     // The measured time is the time spent in requests: the set-ups and the
@@ -476,11 +478,6 @@ pub fn run(kind: Kind, args: &Args) -> Result<Measured, String> {
     let mut peak_rss_mb: f64 = 0.0;
     measure::reset_peak_rss();
     for pass_index in 0..passes {
-        let mut pass = Slice {
-            verdicts: 0,
-            seconds: 0.0,
-            cpu_s: Some(0.0),
-        };
         let mut order: Vec<usize> = (0..rows.len()).collect();
         rng.shuffle(&mut order);
         for (position, index) in order.into_iter().enumerate() {
@@ -505,9 +502,7 @@ pub fn run(kind: Kind, args: &Args) -> Result<Measured, String> {
                 )
             }));
             let latency = measure::since(start);
-            let cpu = measure::cpu_seconds("self").unwrap_or(0.0) - cpu_start;
-            pass.cpu_s = pass.cpu_s.map(|total| total + cpu);
-            pass.seconds += latency;
+            cpu_s += measure::cpu_seconds("self").unwrap_or(0.0) - cpu_start;
             busy_s += latency;
             if let Some(root) = root {
                 spans.spans[root].end = start.duration_since(epoch).as_secs_f64() + latency;
@@ -541,7 +536,6 @@ pub fn run(kind: Kind, args: &Args) -> Result<Measured, String> {
                     )),
                 ),
             };
-            pass.verdicts += usize::from(failure.is_none());
             samples.push(Sample {
                 label: row.name.to_string(),
                 latency,
@@ -549,7 +543,6 @@ pub fn run(kind: Kind, args: &Args) -> Result<Measured, String> {
                 failure,
             });
         }
-        slices.push(pass);
     }
     let window_s = busy_s;
     peak_rss_mb = peak_rss_mb.max(measure::peak_rss_mb("self").unwrap_or(0.0));
@@ -589,7 +582,7 @@ pub fn run(kind: Kind, args: &Args) -> Result<Measured, String> {
     Ok(Measured {
         samples,
         window_s,
-        slices,
+        cpu_s,
         setup_s,
         peak_rss_mb,
         checks,
