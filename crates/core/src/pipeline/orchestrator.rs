@@ -2,8 +2,9 @@
 //!
 //! One request, a ladder of attempts. Each rung of the ϒ ladder generates
 //! its quadratic system, races the LM and penalty back-ends as a portfolio
-//! under per-attempt wall-clock and iteration budgets, refines the winning
-//! candidate with a block-coordinate polish that exploits the bilinear
+//! under per-attempt wall-clock and iteration budgets (an LM point that
+//! reaches tolerance wins outright and stops the penalty lane), refines the
+//! winning candidate with a block-coordinate polish that exploits the bilinear
 //! structure of the Putinar translation, and finally snaps the coefficients
 //! (`k/64` for template unknowns, dyadic for the rest) and re-checks the
 //! system in exact [`Rational`](polyinv_arith::Rational) arithmetic. A rung
@@ -23,7 +24,8 @@
 //! joint solve stalls on.
 
 use std::collections::HashMap;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use polyinv_arith::Rational;
 use polyinv_constraints::exact::{exact_recheck_ladder, ExactCheckConfig, ExactReport};
@@ -35,7 +37,7 @@ use polyinv_lang::{InvariantMap, Postcondition, Precondition, Program};
 use polyinv_poly::UnknownId;
 use polyinv_qcqp::{
     AlmOptions, AlmSolver, LmOptions, LmSolver, LmWorkspace, Problem, QcqpBackend, SolveOutcome,
-    SolverStats,
+    SolveStatus, SolverStats,
 };
 
 use crate::bridge::system_to_problem_with_fixed;
@@ -67,10 +69,12 @@ pub struct SolvePlan {
     /// the exact-rational tolerance a certificate must meet.
     pub certificate: ExactCheckConfig,
     /// Wall-clock budget in seconds for the whole orchestrated solve (all
-    /// rungs, lanes and polish rounds together). When the deadline passes,
-    /// no further rung starts and per-lane budgets are clamped to the time
-    /// remaining — so arbitrarily large systems get a bounded, best-effort
-    /// attempt instead of being skipped outright. `0` disables the budget.
+    /// rungs, lanes and polish rounds together). Every lane and polish
+    /// sub-solve has its wall-clock cap clamped to the time remaining, and
+    /// once the deadline passes no further rung or polish pass starts — so
+    /// arbitrarily large systems get a bounded, best-effort attempt instead
+    /// of being skipped outright. The final certificate check is not
+    /// bounded. `0` disables the budget.
     pub solve_budget_seconds: f64,
 }
 
@@ -154,6 +158,9 @@ impl SolvePlan {
 
 /// One attempt in the orchestrator's history: a portfolio lane, a polish
 /// pass or a certificate check on some rung.
+///
+/// A rung whose LM lane reached tolerance records no `"penalty"` attempt:
+/// LM won outright and the penalty lane was stopped, its result unread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveAttempt {
     /// The ϒ value of the rung the attempt ran on.
@@ -176,7 +183,8 @@ pub struct SolveAttempt {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OrchestratorStats {
     /// Total attempts recorded (portfolio lanes + polish passes +
-    /// certificate checks over all rungs).
+    /// certificate checks over all rungs). A rung that LM won outright
+    /// contributes no penalty attempt.
     pub attempts: usize,
     /// Number of ladder rungs tried.
     pub rungs_tried: usize,
@@ -385,8 +393,8 @@ impl Orchestrator {
         targets: &[TargetAssertion],
     ) -> Result<OrchestratorOutcome, ConstraintError> {
         let ladder = self.plan.options.upsilon_ladder();
-        let started = Instant::now();
         let budget = self.plan.solve_budget_seconds;
+        let deadline = (budget > 0.0).then(|| Instant::now() + Duration::from_secs_f64(budget));
         let mut timings = StageTimings::new();
         let mut history: Vec<SolveAttempt> = Vec::new();
         let mut cache = SolveCache::default();
@@ -398,15 +406,9 @@ impl Orchestrator {
             // The whole-solve deadline: the first rung always runs (a
             // best-effort attempt is the point of the budget), later rungs
             // only start while time remains.
-            let remaining = if budget > 0.0 {
-                let left = budget - started.elapsed().as_secs_f64();
-                if left <= 0.0 && best.is_some() {
-                    break;
-                }
-                Some(left.max(1.0))
-            } else {
-                None
-            };
+            if best.is_some() && expired(deadline) {
+                break;
+            }
             rungs_tried += 1;
             rung_reached = upsilon;
             let options = self.plan.options.clone().with_upsilon(upsilon);
@@ -416,7 +418,7 @@ impl Orchestrator {
                 targets,
                 &options,
                 upsilon,
-                remaining,
+                deadline,
                 &mut cache,
                 &mut timings,
                 &mut history,
@@ -480,7 +482,7 @@ impl Orchestrator {
         targets: &[TargetAssertion],
         options: &SynthesisOptions,
         upsilon: u32,
-        remaining_seconds: Option<f64>,
+        deadline: Option<Instant>,
         cache: &mut SolveCache,
         timings: &mut StageTimings,
         history: &mut Vec<SolveAttempt>,
@@ -520,15 +522,19 @@ impl Orchestrator {
             None => (&generated.system, fixed.clone()),
         };
 
-        // Portfolio race: both lanes run to completion under their own
-        // budgets; the winner is picked deterministically afterwards, so
+        // Portfolio race. An LM point that reaches the solver tolerance
+        // wins the rung outright: the penalty lane is told to stop, joined,
+        // and its outcome dropped, so the rung records no penalty attempt.
+        // Otherwise both lanes run to completion under their own budgets
+        // and the winner is picked deterministically afterwards. Either way
         // the outcome does not depend on which lane finishes first. Under a
         // whole-solve budget each lane's wall-clock cap is clamped to the
         // time remaining.
         let solve_start = Instant::now();
         let mut lm_options = self.plan.lm.clone();
         let mut penalty_options = self.plan.penalty.clone();
-        if let Some(remaining) = remaining_seconds {
+        if let Some(deadline) = deadline {
+            let remaining = seconds_left(deadline);
             lm_options.max_seconds = clamp_budget(lm_options.max_seconds, remaining);
             if let Some(alm) = penalty_options.as_mut() {
                 alm.max_seconds = clamp_budget(alm.max_seconds, remaining);
@@ -542,13 +548,15 @@ impl Orchestrator {
         // space by provenance ([`SolveCache::warm_vector`]).
         let (problem, mapping) = system_to_problem_with_fixed(sub_system, &solver_fixed);
         let warm = cache.warm_vector(&generated.system.registry, &mapping);
+        let stop_penalty = AtomicBool::new(false);
         let (lm_lane, penalty_lane) = std::thread::scope(|scope| {
             let penalty_handle = penalty_backend.as_ref().map(|backend| {
                 let problem = &problem;
                 let warm = &warm;
+                let stop = &stop_penalty;
                 scope.spawn(move || {
                     let start = Instant::now();
-                    let outcome = backend.solve(problem, Some(warm));
+                    let outcome = backend.solve_until(problem, Some(warm), stop);
                     (outcome, start.elapsed().as_secs_f64())
                 })
             });
@@ -559,13 +567,19 @@ impl Orchestrator {
                 outcome,
                 seconds: start.elapsed().as_secs_f64(),
             };
-            let penalty_lane = penalty_handle.map(|handle| {
+            let lm_won = lm_lane.outcome.status == SolveStatus::Feasible;
+            if lm_won {
+                // The flag carries no data (the penalty outcome, unread
+                // here, comes back through the join), so Relaxed is enough.
+                stop_penalty.store(true, Ordering::Relaxed);
+            }
+            let penalty_lane = penalty_handle.and_then(|handle| {
                 let (outcome, seconds) = handle.join().expect("penalty lane panicked");
-                RawLane {
+                (!lm_won).then_some(RawLane {
                     backend: "penalty",
                     outcome,
                     seconds,
-                }
+                })
             });
             (lm_lane, penalty_lane)
         });
@@ -586,7 +600,7 @@ impl Orchestrator {
                 result.map.back_substitute(&mut assignment);
             }
             let violation = generated.system.max_violation(&assignment);
-            let feasible = lane.outcome.status == polyinv_qcqp::SolveStatus::Feasible;
+            let feasible = lane.outcome.status == SolveStatus::Feasible;
             history.push(SolveAttempt {
                 upsilon,
                 backend: lane.backend.to_string(),
@@ -604,12 +618,13 @@ impl Orchestrator {
         }
         let winner = pick_winner(lanes);
 
-        // Block-coordinate polish of the winner on the original system.
+        // Block-coordinate polish of the winner on the original system
+        // (skipped once the whole-solve deadline has passed).
         let mut assignment = winner.assignment;
         let mut violation = winner.violation;
-        if self.plan.polish_rounds > 0 && violation > self.plan.lm.tolerance {
+        if self.plan.polish_rounds > 0 && violation > self.plan.lm.tolerance && !expired(deadline) {
             let polish_start = Instant::now();
-            let polished = self.polish(&generated, &fixed, assignment, violation, cache);
+            let polished = self.polish(&generated, &fixed, assignment, violation, deadline, cache);
             assignment = polished.0;
             violation = polished.1;
             history.push(SolveAttempt {
@@ -661,13 +676,15 @@ impl Orchestrator {
     /// a final pass over the *linear* tail (multiplier + witness unknowns
     /// with both the template and Cholesky blocks pinned — a least-squares
     /// problem whose optimum is the best residual compatible with the
-    /// snapped coefficients). Keeps the best point seen.
+    /// snapped coefficients). Keeps the best point seen; once `deadline`
+    /// passes, the remaining passes are skipped.
     fn polish(
         &self,
         generated: &GeneratedSystem,
         fixed: &HashMap<UnknownId, Rational>,
         start: Vec<f64>,
         start_violation: f64,
+        deadline: Option<Instant>,
         cache: &mut SolveCache,
     ) -> (Vec<f64>, f64) {
         let registry = &generated.system.registry;
@@ -694,34 +711,33 @@ impl Orchestrator {
             .map(|(id, _)| id)
             .collect();
 
+        let both_blocks: Vec<UnknownId> = template_block
+            .iter()
+            .chain(sos_block.iter())
+            .copied()
+            .collect();
+
         let mut best = start;
         let mut best_violation = start_violation;
         for round in 0..self.plan.polish_rounds {
-            // Pass 1: pin the template block, free {t, l, ε}.
-            let (candidate, candidate_violation) =
-                self.polish_pass(&generated.system, fixed, &best, &template_block, cache);
-            if candidate_violation < best_violation {
-                best = candidate;
-                best_violation = candidate_violation;
-            }
-            // Pass 2: pin the Cholesky/Gram block, free {s, t, ε} (the
-            // remaining system is bilinear in s·t, LM's sweet spot).
-            let (candidate, candidate_violation) =
-                self.polish_pass(&generated.system, fixed, &best, &sos_block, cache);
-            if candidate_violation < best_violation {
-                best = candidate;
-                best_violation = candidate_violation;
-            }
-            // Final pass: pin both blocks; the tail {t, ε} is linear, so
-            // one LM sub-solve reaches the least-squares optimum.
-            if round + 1 == self.plan.polish_rounds {
-                let both: Vec<UnknownId> = template_block
-                    .iter()
-                    .chain(sos_block.iter())
-                    .copied()
-                    .collect();
+            // Pass 1 pins the template block and frees {t, l, ε}. Pass 2
+            // pins the Cholesky/Gram block and frees {s, t, ε} (the
+            // remaining system is bilinear in s·t, LM's sweet spot). The
+            // final round adds a pass with both blocks pinned: the tail
+            // {t, ε} is linear, so one LM sub-solve reaches the
+            // least-squares optimum.
+            let last = round + 1 == self.plan.polish_rounds;
+            let passes = [
+                Some(&template_block),
+                Some(&sos_block),
+                last.then_some(&both_blocks),
+            ];
+            for block in passes.into_iter().flatten() {
+                if expired(deadline) {
+                    return (best, best_violation);
+                }
                 let (candidate, candidate_violation) =
-                    self.polish_pass(&generated.system, fixed, &best, &both, cache);
+                    self.polish_pass(&generated.system, fixed, &best, block, deadline, cache);
                 if candidate_violation < best_violation {
                     best = candidate;
                     best_violation = candidate_violation;
@@ -736,13 +752,16 @@ impl Orchestrator {
 
     /// One polish sub-solve: pin `block` at (dyadic roundings of) the
     /// current values, solve the rest warm-started from the current point,
-    /// and score the merged assignment on the full system.
+    /// and score the merged assignment on the full system. Under a
+    /// whole-solve deadline the sub-solve's wall-clock cap is clamped to the
+    /// time remaining.
     fn polish_pass(
         &self,
         system: &QuadraticSystem,
         fixed: &HashMap<UnknownId, Rational>,
         current: &[f64],
         block: &[UnknownId],
+        deadline: Option<Instant>,
         cache: &mut SolveCache,
     ) -> (Vec<f64>, f64) {
         let mut pins = fixed.clone();
@@ -757,7 +776,11 @@ impl Orchestrator {
         let warm: Vec<f64> = mapping.iter().map(|id| current[id.index()]).collect();
         // The polish alternation re-solves the same three structures round
         // after round; the cache skips the repeated symbolic analysis.
-        let solver = LmSolver::new(self.plan.polish_lm.clone());
+        let mut options = self.plan.polish_lm.clone();
+        if let Some(deadline) = deadline {
+            options.max_seconds = clamp_budget(options.max_seconds, seconds_left(deadline));
+        }
+        let solver = LmSolver::new(options);
         let outcome = cache.solve_lm(&solver, &problem, Some(&warm));
         let mut assignment = current.to_vec();
         for (id, value) in &pins {
@@ -779,10 +802,24 @@ struct RawLane {
     seconds: f64,
 }
 
+/// Whether the whole-solve deadline (if any) has passed.
+fn expired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|deadline| Instant::now() >= deadline)
+}
+
+/// Seconds left until `deadline` (0 once it has passed).
+fn seconds_left(deadline: Instant) -> f64 {
+    deadline
+        .saturating_duration_since(Instant::now())
+        .as_secs_f64()
+}
+
 /// Clamps a per-lane wall-clock cap to the whole-solve time remaining
 /// (`0` means "uncapped" on the lane side, so the remaining time becomes
-/// the cap).
+/// the cap). An exhausted budget becomes the smallest positive cap, never
+/// `0`, so the lane stops at its first deadline check.
 fn clamp_budget(lane_cap: f64, remaining: f64) -> f64 {
+    let remaining = remaining.max(f64::MIN_POSITIVE);
     if lane_cap > 0.0 {
         lane_cap.min(remaining)
     } else {
@@ -953,5 +990,94 @@ mod tests {
         // Both rungs left their attempts in the history.
         assert!(outcome.stats.history.iter().any(|a| a.upsilon == 0));
         assert!(outcome.stats.history.iter().any(|a| a.upsilon == 2));
+    }
+
+    /// Solves `source` (one function, `target` at its exit) under the plan
+    /// `make_plan` builds from default options at `degree`.
+    fn solve_program(
+        source: &str,
+        target: &str,
+        degree: u32,
+        make_plan: impl FnOnce(SynthesisOptions) -> SolvePlan,
+    ) -> OrchestratorOutcome {
+        let program = parse_program(source).unwrap();
+        let pre = Precondition::from_program(&program);
+        let exit = program.main().exit_label();
+        let (target, _) =
+            polyinv_lang::parse_assertion(&program, program.main().name(), target).unwrap();
+        let plan = make_plan(SynthesisOptions::default().with_degree(degree));
+        Orchestrator::new(plan)
+            .solve(&program, &pre, &[TargetAssertion::new(exit, target)])
+            .unwrap()
+    }
+
+    /// What an outcome determines, timings left out.
+    fn fingerprint(outcome: &OrchestratorOutcome) -> impl PartialEq + std::fmt::Debug {
+        let history: Vec<_> = outcome
+            .stats
+            .history
+            .iter()
+            .map(|a| {
+                (
+                    a.upsilon,
+                    a.backend.clone(),
+                    a.feasible,
+                    a.violation.to_bits(),
+                )
+            })
+            .collect();
+        let assignment: Vec<u64> = outcome.assignment.iter().map(|v| v.to_bits()).collect();
+        let solver = &outcome.solver;
+        (
+            assignment,
+            outcome.violation.to_bits(),
+            outcome.certified,
+            outcome.backend,
+            (solver.iterations, solver.restarts, solver.factorizations),
+            history,
+        )
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow without optimizations; run with `cargo test --release`"
+    )]
+    fn a_feasible_lm_lane_wins_the_rung_outright() {
+        // LM reaches tolerance on inc: the penalty lane is stopped and the
+        // result is exactly the LM-only plan's.
+        let source = include_str!("../../../../programs/inc.poly");
+        let raced = solve_program(source, "x + 1 > 0", 1, SolvePlan::new);
+        let lm_only = solve_program(source, "x + 1 > 0", 1, |options| {
+            SolvePlan::new(options).with_backend_preference("lm")
+        });
+        assert_eq!(fingerprint(&raced), fingerprint(&lm_only));
+        assert!(raced.certified);
+        assert_eq!(raced.stats.winning_backend, "lm");
+        assert!(raced.stats.history.iter().all(|a| a.backend != "penalty"));
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow without optimizations; run with `cargo test --release`"
+    )]
+    fn an_infeasible_lm_lane_waits_for_the_penalty_lane() {
+        // LM stalls near 5e-3 on petter: both lanes run to completion and
+        // the penalty lane's attempt is in the history.
+        let source = include_str!("../../../../programs/petter.poly");
+        let outcome = solve_program(source, "ret + 1 > 0", 2, SolvePlan::new);
+        let lm = outcome
+            .stats
+            .history
+            .iter()
+            .find(|a| a.backend == "lm")
+            .unwrap();
+        assert!(!lm.feasible && lm.violation > 1e-3, "{lm:?}");
+        assert!(
+            outcome.stats.history.iter().any(|a| a.backend == "penalty"),
+            "{:?}",
+            outcome.stats.history
+        );
     }
 }

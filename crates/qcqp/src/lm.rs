@@ -273,6 +273,8 @@ impl LmSolver {
             |outcome| outcome.status == SolveStatus::Feasible,
         );
         // Aggregate the work done across restarts onto the winning outcome.
+        // `outcomes` holds exactly the restarts the sequential loop would
+        // run, so the totals do not depend on the worker count.
         let mut stats = workspace.stats_skeleton();
         for outcome in &outcomes {
             stats.absorb_restart(&outcome.stats);

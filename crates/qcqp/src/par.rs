@@ -91,8 +91,9 @@ where
 }
 
 /// Like [`parallel_indexed`], but stops scheduling further work once any
-/// completed result satisfies `stop` (results computed so far are still
-/// returned, in index order, possibly fewer than `count`).
+/// completed result satisfies `stop`. The results are returned in index
+/// order up to and including the first one that satisfies `stop` — the
+/// same vector the sequential loop produces, whatever the worker count.
 ///
 /// This restores the sequential "first success wins" economy of multi-start
 /// loops: a wave of up to `available_parallelism` closures runs at a time,
@@ -158,7 +159,12 @@ where
             for handle in handles {
                 results.push(handle.join().expect("worker thread panicked"));
             }
-            if results.iter().any(&stop) {
+            // Keep exactly what the sequential loop would have computed:
+            // the wave's results past the first stopping index are dropped,
+            // so callers that aggregate over the results (restart
+            // statistics) see the same vector at any worker count.
+            if let Some(first) = results.iter().position(&stop) {
+                results.truncate(first + 1);
                 break;
             }
         }
@@ -192,6 +198,16 @@ mod tests {
         // predicate, so far fewer than 100 closures run.
         assert!(results.contains(&0));
         assert!(calls.load(Ordering::SeqCst) < 100);
+    }
+
+    #[test]
+    fn results_past_the_first_stop_are_dropped() {
+        // Index 1 stops the run; the rest of its wave (2 and 3) was
+        // computed alongside it but is not part of the sequential result.
+        let results = parallel_indexed_until_bounded(10, 4, |i| i, |&i| i >= 1);
+        assert_eq!(results, vec![0, 1]);
+        let serial = parallel_indexed_until_bounded(10, 1, |i| i, |&i| i >= 1);
+        assert_eq!(results, serial);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! satisfies the generated system and therefore yields a sound inductive
 //! invariant (Lemma 3.6), which is re-checked downstream.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -99,6 +101,24 @@ impl AlmSolver {
     /// Solves the problem starting from random initial points (plus an
     /// optional warm start) and returns the best outcome.
     pub fn solve(&self, problem: &Problem, warm_start: Option<&[f64]>) -> SolveOutcome {
+        self.solve_until(problem, warm_start, &AtomicBool::new(false))
+    }
+
+    /// Like [`solve`](Self::solve), but gives up as soon as `stop` is set:
+    /// the flag is checked before every Adam step and every restart, and
+    /// the best point found so far is returned. With the flag never set the
+    /// result is bit-identical to [`solve`](Self::solve); set before the
+    /// call, the first restart returns its starting point (the warm start,
+    /// when one fits) without taking a step.
+    ///
+    /// The portfolio uses this to stop the penalty lane once the LM lane
+    /// has won the rung outright.
+    pub fn solve_until(
+        &self,
+        problem: &Problem,
+        warm_start: Option<&[f64]>,
+        stop: &AtomicBool,
+    ) -> SolveOutcome {
         let mut best: Option<SolveOutcome> = None;
         let mut stats = SolverStats::default();
         let restarts = self.options.restarts.max(1);
@@ -106,7 +126,8 @@ impl AlmSolver {
         let deadline = (self.options.max_seconds > 0.0).then_some(self.options.max_seconds);
         for restart in 0..restarts {
             if restart > 0
-                && deadline.is_some_and(|budget| started.elapsed().as_secs_f64() >= budget)
+                && (stopped(stop)
+                    || deadline.is_some_and(|budget| started.elapsed().as_secs_f64() >= budget))
             {
                 break;
             }
@@ -118,7 +139,7 @@ impl AlmSolver {
                     .collect(),
             };
             let remaining = deadline.map(|budget| budget - started.elapsed().as_secs_f64());
-            let outcome = self.solve_from(problem, &mut x, &mut rng, remaining);
+            let outcome = self.solve_from(problem, &mut x, &mut rng, remaining, stop);
             stats.absorb_restart(&outcome.stats);
             let better = match &best {
                 None => true,
@@ -153,6 +174,7 @@ impl AlmSolver {
         x: &mut [f64],
         rng: &mut StdRng,
         max_seconds: Option<f64>,
+        stop: &AtomicBool,
     ) -> SolveOutcome {
         let n = problem.num_vars;
         let opts = &self.options;
@@ -188,12 +210,17 @@ impl AlmSolver {
         let mut best_violation = problem.max_violation(x);
         let mut best_objective = objective_at(x);
 
-        for outer in 0..opts.outer_iterations {
+        'outer: for outer in 0..opts.outer_iterations {
             if max_seconds.is_some_and(|budget| started.elapsed().as_secs_f64() >= budget) {
                 break;
             }
             let mut step_count = 0.0f64;
             for _ in 0..opts.inner_iterations {
+                // A stopped solve keeps the best point of the completed
+                // outer rounds; the half-finished round is dropped.
+                if stopped(stop) {
+                    break 'outer;
+                }
                 total_iterations += 1;
                 step_count += 1.0;
                 for &i in active {
@@ -300,6 +327,14 @@ impl AlmSolver {
             },
         }
     }
+}
+
+/// Whether the caller asked the solve to stop. The flag carries no data —
+/// the outcome reaches the caller through the thread join, which
+/// synchronizes on its own — so a relaxed load is enough: the store only
+/// has to be seen eventually.
+fn stopped(stop: &AtomicBool) -> bool {
+    stop.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -427,5 +462,54 @@ mod tests {
         let outcome = AlmSolver::new(options_fast()).solve(&problem, None);
         assert_eq!(outcome.status, SolveStatus::Infeasible);
         assert!(outcome.violation > 0.1);
+    }
+
+    fn bilinear_problem() -> Problem {
+        // x·y = 6, x - y = 1, x ≥ 0.
+        let mut problem = Problem::new(2);
+        problem.equalities.push(QuadraticForm {
+            constant: -6.0,
+            linear: Vec::new(),
+            quadratic: vec![(0, 1, 1.0)],
+        });
+        problem.equalities.push(QuadraticForm {
+            constant: -1.0,
+            linear: vec![(0, 1.0), (1, -1.0)],
+            quadratic: Vec::new(),
+        });
+        problem.inequalities.push(QuadraticForm::variable(0));
+        problem
+    }
+
+    #[test]
+    fn an_unset_stop_flag_changes_nothing() {
+        let problem = bilinear_problem();
+        let solver = AlmSolver::new(options_fast());
+        let warm = [0.5, -0.25];
+        let plain = solver.solve(&problem, Some(&warm));
+        let until = solver.solve_until(&problem, Some(&warm), &AtomicBool::new(false));
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&until.assignment), bits(&plain.assignment));
+        assert_eq!(until.violation.to_bits(), plain.violation.to_bits());
+        assert_eq!(until.iterations, plain.iterations);
+        assert_eq!(until.stats.iterations, plain.stats.iterations);
+        assert_eq!(until.status, plain.status);
+    }
+
+    #[test]
+    fn a_set_stop_flag_returns_the_warm_start_without_a_step() {
+        let problem = bilinear_problem();
+        let warm = [0.5, -0.25];
+        let outcome = AlmSolver::new(options_fast()).solve_until(
+            &problem,
+            Some(&warm),
+            &AtomicBool::new(true),
+        );
+        assert_eq!(outcome.assignment, warm);
+        assert_eq!(outcome.iterations, 0);
+        assert_eq!(outcome.stats.iterations, 0);
+        assert_eq!(outcome.stats.restarts, 1, "no restart after the first");
+        assert_eq!(outcome.status, SolveStatus::Infeasible);
+        assert_eq!(outcome.violation, problem.max_violation(&warm));
     }
 }

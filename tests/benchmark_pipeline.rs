@@ -1,6 +1,8 @@
 //! Integration tests running the reduction over the benchmark suite and the
 //! baseline, checking the "shape" properties reported in the paper's tables.
 
+use std::time::Instant;
+
 use polyinv::prelude::*;
 use polyinv::weak::{fix_targets, SynthesisStatus, TargetAssertion};
 use polyinv_benchmarks::{by_name, table2, table3, Benchmark, Category};
@@ -159,6 +161,70 @@ fn synthesized_reports_carry_a_passing_exact_certificate() {
         .as_ref()
         .expect("synthesized rows carry the exact re-check");
     assert!(exact.passed, "certificate did not pass: {exact:?}");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow without optimizations; run with `cargo test --release`"
+)]
+fn the_whole_solve_budget_holds_through_polish() {
+    // recursive-sum climbs to ϒ = 2, where the LM lane (60 s cap) and each
+    // polish sub-solve (20 s cap) could each outlast a 2 s budget on their
+    // own: the budget must clamp them all.
+    let benchmark = by_name("recursive-sum").unwrap();
+    let request = polyinv_bench::solve_request(&benchmark);
+    let program = benchmark.program().unwrap();
+    let pre = benchmark.precondition().unwrap();
+    let targets = polyinv_api::engine::resolve_weak_targets(&program, &request).unwrap();
+    let (options, _) = polyinv_api::engine::escalate_degree(&request.options, &targets);
+    let budget = 2.0;
+    let plan = polyinv::SolvePlan::new(options).with_solve_budget(budget);
+    let started = Instant::now();
+    let outcome = polyinv::Orchestrator::new(plan)
+        .solve(&program, &pre, &targets)
+        .unwrap();
+    let elapsed = started.elapsed().as_secs_f64();
+    let history = &outcome.stats.history;
+
+    // The certificate check is exempt from the budget; everything else
+    // must fit in it, give or take one solver iteration.
+    let certificate: f64 = history
+        .iter()
+        .filter(|attempt| attempt.backend == "certificate")
+        .map(|attempt| attempt.seconds)
+        .sum();
+    assert!(
+        elapsed - certificate <= budget + 0.5,
+        "solve took {elapsed:.3} s ({certificate:.3} s certificate) under a {budget} s budget: \
+         {history:?}"
+    );
+    // An attempt started no later than the end of the solve minus its own
+    // time and that of every attempt after it, the two racing lanes of a
+    // rung counted once (by the slower): an upper bound on its start.
+    let is_lane =
+        |attempt: &polyinv::SolveAttempt| matches!(attempt.backend.as_str(), "lm" | "penalty");
+    for (index, attempt) in history.iter().enumerate() {
+        if attempt.backend != "polish" {
+            continue;
+        }
+        let from_here: f64 = history[index..]
+            .chunk_by(|a, b| a.upsilon == b.upsilon)
+            .map(|rung| {
+                let race = rung
+                    .iter()
+                    .filter(|a| is_lane(a))
+                    .map(|a| a.seconds)
+                    .fold(0.0, f64::max);
+                let rest: f64 = rung.iter().filter(|a| !is_lane(a)).map(|a| a.seconds).sum();
+                race + rest
+            })
+            .sum();
+        assert!(
+            elapsed - from_here < budget,
+            "polish started after the deadline: {history:?}"
+        );
+    }
 }
 
 #[test]
