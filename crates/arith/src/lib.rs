@@ -40,4 +40,4 @@ pub mod sparse;
 
 pub use linalg::{Matrix, Vector};
 pub use rational::{ParseRationalError, Rational, RationalError};
-pub use sparse::{CsrMatrix, JtjPattern, JtjScratch, LdlNumeric, SymbolicLdl};
+pub use sparse::{CsrMatrix, JtjPattern, JtjScratch, LdlKernel, LdlNumeric, SymbolicLdl};

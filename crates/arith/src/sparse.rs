@@ -30,6 +30,10 @@
 
 use crate::linalg::Matrix;
 
+mod supernodal;
+
+use supernodal::{Panels, Supernodes};
+
 /// Sentinel for "no parent" in the elimination tree.
 const NONE: usize = usize::MAX;
 
@@ -439,25 +443,61 @@ fn minimum_degree(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> 
     perm
 }
 
+/// Flops per factor entry (`Σ colcount² / nnz(L)`, diagonal included) from
+/// which [`SymbolicLdl::analyze`] picks the supernodal kernel. Below it the
+/// factor is too sparse for dense panels to pay: the scalar kernel is
+/// 1.2–2.5× faster on the rung-0 systems (at most 26.6), the supernodal
+/// one 1.8–3.7× faster on the ϒ = 2 systems and their polish systems
+/// (37 and up). The crossover lies between 22 and 37; see DESIGN.md §9.
+const SUPERNODAL_FLOPS_PER_ENTRY: f64 = 50.0;
+
+/// The numeric kernel a [`SymbolicLdl`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LdlKernel {
+    /// The up-looking scalar kernel: one sparse row of `L` at a time.
+    Scalar,
+    /// The left-looking supernodal kernel: dense row-major panels, one per
+    /// fundamental supernode, updated through a register-tiled dense
+    /// kernel.
+    Supernodal,
+}
+
 /// The symbolic phase of a sparse LDLᵀ factorization: fill-reducing
 /// permutation, permuted pattern with value-position links, elimination tree
-/// and per-column factor counts. Computed **once** per pattern and reused by
-/// every numeric factorization (only the matrix *values* change between LM
+/// and per-column factor counts, plus the structures of the numeric kernel
+/// picked for the pattern. Computed **once** per pattern and reused by every
+/// numeric factorization (only the matrix *values* change between LM
 /// iterations).
 #[derive(Debug, Clone)]
 pub struct SymbolicLdl {
     n: usize,
     /// `perm[new] = old`.
     perm: Vec<usize>,
+    /// Position of the diagonal entry of each permuted column in the
+    /// caller's values buffer.
+    a_diag_pos: Vec<usize>,
+    /// `nnz(L)` including the unit diagonal.
+    nnz_factor: usize,
+    /// `Σ colcount² / nnz(L)`: the kernel-selection statistic.
+    flops_per_entry: f64,
+    kernel: KernelSymbolic,
+}
+
+#[derive(Debug, Clone)]
+enum KernelSymbolic {
+    Scalar(ScalarSymbolic),
+    Supernodal(Supernodes),
+}
+
+/// The symbolic side of the scalar kernel.
+#[derive(Debug, Clone)]
+struct ScalarSymbolic {
     /// Permuted upper triangle in column-major order: column `k` holds the
     /// rows `i < k` (new indices, unsorted) and, in parallel, the position
     /// of the corresponding entry in the caller's values buffer.
     a_col_ptr: Vec<usize>,
     a_row: Vec<usize>,
     a_val_pos: Vec<usize>,
-    /// Position of the diagonal entry of each permuted column in the
-    /// caller's values buffer.
-    a_diag_pos: Vec<usize>,
     /// Elimination-tree parent (or `NONE`).
     parent: Vec<usize>,
     /// Column pointers of the factor `L` (strictly-lower CSC).
@@ -465,101 +505,73 @@ pub struct SymbolicLdl {
 }
 
 /// Preallocated numeric buffers of a sparse LDLᵀ: the factor itself plus the
-/// working arrays of the up-looking factorization and the solves. One of
-/// these per concurrent solver; the shared [`SymbolicLdl`] stays immutable.
+/// working arrays of the factorization and the solves, laid out for the
+/// kernel of the [`SymbolicLdl`] that allocated them. One of these per
+/// concurrent solver; the shared [`SymbolicLdl`] stays immutable.
 #[derive(Debug, Clone)]
 pub struct LdlNumeric {
+    d: Vec<f64>,
+    work: Vec<f64>,
+    factor: NumericFactor,
+}
+
+#[derive(Debug, Clone)]
+enum NumericFactor {
+    Scalar(ScalarFactor),
+    Supernodal {
+        panels: Panels,
+        /// Solve scratch, one entry per column of the widest supernode.
+        scratch: Vec<f64>,
+    },
+}
+
+/// The scalar kernel's factor (strictly-lower CSC of `L`) and working
+/// arrays.
+#[derive(Debug, Clone)]
+struct ScalarFactor {
     l_row: Vec<usize>,
     l_values: Vec<f64>,
-    d: Vec<f64>,
     y: Vec<f64>,
     pattern: Vec<usize>,
     flag: Vec<usize>,
     next_slot: Vec<usize>,
-    work: Vec<f64>,
 }
 
 impl LdlNumeric {
     /// The pivots `D` of the last successful factorization (test oracle for
-    /// the bitwise serial/parallel equivalence).
+    /// comparing the two kernels).
     pub fn pivots(&self) -> &[f64] {
         &self.d
     }
-
-    /// The strictly-lower factor values of the last successful factorization
-    /// (test oracle for the bitwise serial/parallel equivalence).
-    pub fn factor_values(&self) -> &[f64] {
-        &self.l_values
-    }
 }
 
-/// Raw views into an [`LdlNumeric`]'s buffers, shared across the subtree
-/// workers of [`SymbolicLdl::factor_parallel`]. Columns of disjoint
-/// elimination-tree subtrees touch disjoint indices of every one of these
-/// arrays, which is what makes the aliasing sound.
-struct ColumnBuffers {
-    y: *mut f64,
-    flag: *mut usize,
-    next_slot: *mut usize,
-    d: *mut f64,
-    l_row: *mut usize,
-    l_values: *mut f64,
+/// A symmetric pattern under a permutation: the permuted upper triangle
+/// with value-position links, the elimination tree and the column counts.
+struct PermutedPattern {
+    /// Permuted upper triangle in column-major order: column `k` holds the
+    /// rows `i < k` (new indices, unsorted) and, in parallel, the position
+    /// of the corresponding entry in the caller's values buffer.
+    a_col_ptr: Vec<usize>,
+    a_row: Vec<usize>,
+    a_val_pos: Vec<usize>,
+    /// Position of each permuted diagonal entry in the values buffer.
+    a_diag_pos: Vec<usize>,
+    /// Elimination-tree parent (or `NONE`).
+    parent: Vec<usize>,
+    /// Strictly-lower entries of each column of `L`.
+    counts: Vec<usize>,
 }
 
-// SAFETY: the pointers are only dereferenced under the subtree-disjointness
-// protocol documented on `factor_column`. This is the workspace's one
-// audited unsafe island: the deny(unsafe_code) default stays in force
-// everywhere else.
-#[allow(unsafe_code)]
-unsafe impl Sync for ColumnBuffers {}
-
-impl ColumnBuffers {
-    fn from_numeric(num: &mut LdlNumeric) -> Self {
-        ColumnBuffers {
-            y: num.y.as_mut_ptr(),
-            flag: num.flag.as_mut_ptr(),
-            next_slot: num.next_slot.as_mut_ptr(),
-            d: num.d.as_mut_ptr(),
-            l_row: num.l_row.as_mut_ptr(),
-            l_values: num.l_values.as_mut_ptr(),
-        }
-    }
-}
-
-/// The column partition [`SymbolicLdl::subtree_schedule`] hands to the
-/// parallel factorization: independent subtrees (safe to factor
-/// concurrently) plus the serial top-of-tree columns.
-#[derive(Debug, Clone)]
-pub struct SubtreeSchedule {
-    subtrees: Vec<Vec<usize>>,
-    top: Vec<usize>,
-}
-
-impl SubtreeSchedule {
-    /// The independent subtrees, each listing its columns in ascending
-    /// order.
-    pub fn subtrees(&self) -> &[Vec<usize>] {
-        &self.subtrees
-    }
-
-    /// The serial top-of-tree columns, ascending.
-    pub fn top(&self) -> &[usize] {
-        &self.top
-    }
-}
-
-impl SymbolicLdl {
-    /// Analyzes a symmetric pattern given as its **lower triangle in CSR**
-    /// (row `j` holds the sorted columns `i ≤ j`, diagonal present in every
-    /// row): computes the minimum-degree permutation, the permuted pattern
-    /// and the elimination tree with its column counts.
+impl PermutedPattern {
+    /// Permutes the lower-triangle CSR pattern by `perm` (`perm[new] =
+    /// old`) and runs the elimination-tree analysis.
     ///
     /// # Panics
     ///
     /// Panics if a diagonal entry is missing or the pattern is not lower
     /// triangular.
-    pub fn analyze(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Self {
-        let perm = minimum_degree(n, row_ptr, col_idx);
+    fn new(row_ptr: &[usize], col_idx: &[usize], perm: &[usize]) -> Self {
+        let n = perm.len();
         let mut inv_perm = vec![0usize; n];
         for (new, &old) in perm.iter().enumerate() {
             inv_perm[old] = new;
@@ -623,19 +635,146 @@ impl SymbolicLdl {
                 }
             }
         }
-        let mut l_col_ptr = vec![0usize; n + 1];
-        for k in 0..n {
-            l_col_ptr[k + 1] = l_col_ptr[k] + counts[k];
-        }
-        SymbolicLdl {
-            n,
-            perm,
+        PermutedPattern {
             a_col_ptr,
             a_row,
             a_val_pos,
             a_diag_pos,
             parent,
-            l_col_ptr,
+            counts,
+        }
+    }
+}
+
+/// A postorder of the forest `parent` (children before parents, every
+/// subtree contiguous), visiting roots and children in ascending order.
+fn postorder(parent: &[usize]) -> Vec<usize> {
+    let n = parent.len();
+    // Child lists, built backwards so each comes out ascending.
+    let mut first_child = vec![NONE; n];
+    let mut next_sibling = vec![NONE; n];
+    for j in (0..n).rev() {
+        if parent[j] != NONE {
+            next_sibling[j] = first_child[parent[j]];
+            first_child[parent[j]] = j;
+        }
+    }
+    let mut order = Vec::with_capacity(n);
+    let mut stack = Vec::new();
+    for root in (0..n).filter(|&j| parent[j] == NONE) {
+        stack.push(root);
+        while let Some(&node) = stack.last() {
+            match first_child[node] {
+                NONE => {
+                    order.push(node);
+                    stack.pop();
+                }
+                child => {
+                    first_child[node] = next_sibling[child];
+                    stack.push(child);
+                }
+            }
+        }
+    }
+    order
+}
+
+impl SymbolicLdl {
+    /// Analyzes a symmetric pattern given as its **lower triangle in CSR**
+    /// (row `j` holds the sorted columns `i ≤ j`, diagonal present in every
+    /// row): computes the minimum-degree permutation, the permuted pattern
+    /// and the elimination tree with its column counts, and picks the
+    /// numeric kernel from the flops per factor entry (see
+    /// [`kernel`](Self::kernel)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a diagonal entry is missing or the pattern is not lower
+    /// triangular.
+    pub fn analyze(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Self {
+        Self::analyze_inner(n, row_ptr, col_idx, None)
+    }
+
+    /// Like [`analyze`](Self::analyze), but runs `kernel` whatever the
+    /// pattern: the oracle the tests and the factor bench compare the two
+    /// kernels with. The solver always lets [`analyze`](Self::analyze)
+    /// choose.
+    pub fn analyze_with_kernel(
+        n: usize,
+        row_ptr: &[usize],
+        col_idx: &[usize],
+        kernel: LdlKernel,
+    ) -> Self {
+        Self::analyze_inner(n, row_ptr, col_idx, Some(kernel))
+    }
+
+    fn analyze_inner(
+        n: usize,
+        row_ptr: &[usize],
+        col_idx: &[usize],
+        kernel: Option<LdlKernel>,
+    ) -> Self {
+        let mut perm = minimum_degree(n, row_ptr, col_idx);
+        let pattern = PermutedPattern::new(row_ptr, col_idx, &perm);
+        let nnz_factor = pattern.counts.iter().sum::<usize>() + n;
+        let flops_per_entry = if n == 0 {
+            0.0
+        } else {
+            pattern
+                .counts
+                .iter()
+                .map(|&c| ((c + 1) * (c + 1)) as f64)
+                .sum::<f64>()
+                / nnz_factor as f64
+        };
+        let kernel = kernel.unwrap_or(if flops_per_entry >= SUPERNODAL_FLOPS_PER_ENTRY {
+            LdlKernel::Supernodal
+        } else {
+            LdlKernel::Scalar
+        });
+        let (kernel, a_diag_pos) = match kernel {
+            LdlKernel::Supernodal => {
+                // Postordering the elimination tree relabels the factor
+                // without changing its pattern, and makes every chain of
+                // single children consecutive — the columns a supernode
+                // needs.
+                let post = postorder(&pattern.parent);
+                // Freed first: two permuted patterns of a big system at
+                // once would raise the analysis' peak memory.
+                drop(pattern);
+                perm = post.into_iter().map(|k| perm[k]).collect();
+                let pattern = PermutedPattern::new(row_ptr, col_idx, &perm);
+                let supernodes = Supernodes::new(
+                    &pattern.parent,
+                    &pattern.counts,
+                    &pattern.a_col_ptr,
+                    &pattern.a_row,
+                    &pattern.a_val_pos,
+                );
+                (KernelSymbolic::Supernodal(supernodes), pattern.a_diag_pos)
+            }
+            LdlKernel::Scalar => {
+                let mut l_col_ptr = vec![0usize; n + 1];
+                for k in 0..n {
+                    l_col_ptr[k + 1] = l_col_ptr[k] + pattern.counts[k];
+                }
+                let scalar = ScalarSymbolic {
+                    a_col_ptr: pattern.a_col_ptr,
+                    a_row: pattern.a_row,
+                    a_val_pos: pattern.a_val_pos,
+                    parent: pattern.parent,
+                    l_col_ptr,
+                };
+                (KernelSymbolic::Scalar(scalar), pattern.a_diag_pos)
+            }
+        };
+        SymbolicLdl {
+            n,
+            perm,
+            a_diag_pos,
+            nnz_factor,
+            flops_per_entry,
+            kernel,
         }
     }
 
@@ -647,7 +786,24 @@ impl SymbolicLdl {
     /// Entries of the factor `L` including the (unit) diagonal — the
     /// `nnz(L)` statistic.
     pub fn nnz_factor(&self) -> usize {
-        self.l_col_ptr[self.n] + self.n
+        self.nnz_factor
+    }
+
+    /// Flops per factor entry, `Σ colcount² / nnz(L)` with every column
+    /// count including the diagonal: high when the factor is made of wide
+    /// dense blocks.
+    pub fn flops_per_entry(&self) -> f64 {
+        self.flops_per_entry
+    }
+
+    /// The numeric kernel: [`LdlKernel::Supernodal`] when the flops per
+    /// factor entry reach a fixed threshold (50), [`LdlKernel::Scalar`]
+    /// otherwise.
+    pub fn kernel(&self) -> LdlKernel {
+        match self.kernel {
+            KernelSymbolic::Scalar(_) => LdlKernel::Scalar,
+            KernelSymbolic::Supernodal(_) => LdlKernel::Supernodal,
+        }
     }
 
     /// The fill-reducing permutation (`perm[new] = old`).
@@ -657,178 +813,64 @@ impl SymbolicLdl {
 
     /// Allocates the numeric buffers matching this symbolic analysis.
     pub fn numeric(&self) -> LdlNumeric {
-        let nnz = self.l_col_ptr[self.n];
+        let n = self.n;
+        let factor = match &self.kernel {
+            KernelSymbolic::Scalar(scalar) => {
+                let nnz = scalar.l_col_ptr[n];
+                NumericFactor::Scalar(ScalarFactor {
+                    l_row: vec![0; nnz],
+                    l_values: vec![0.0; nnz],
+                    y: vec![0.0; n],
+                    pattern: vec![0; n],
+                    flag: vec![NONE; n],
+                    next_slot: vec![0; n],
+                })
+            }
+            KernelSymbolic::Supernodal(supernodes) => NumericFactor::Supernodal {
+                panels: supernodes.panels(),
+                scratch: vec![0.0; supernodes.max_width()],
+            },
+        };
         LdlNumeric {
-            l_row: vec![0; nnz],
-            l_values: vec![0.0; nnz],
-            d: vec![0.0; self.n],
-            y: vec![0.0; self.n],
-            pattern: vec![0; self.n],
-            flag: vec![NONE; self.n],
-            next_slot: vec![0; self.n],
-            work: vec![0.0; self.n],
+            d: vec![0.0; n],
+            work: vec![0.0; n],
+            factor,
         }
     }
 
-    /// Numeric up-looking LDLᵀ of `A + diag(diag_add)`, where `values` is
-    /// the buffer the lower-triangle pattern of [`SymbolicLdl::analyze`]
-    /// indexes into (e.g. a [`JtjPattern`] accumulation) and `diag_add` is
-    /// the per-variable damping. Returns `false` when a pivot is not
-    /// strictly positive (the matrix is not numerically positive definite at
-    /// this damping) — the factor is then unusable and the caller should
-    /// increase the damping.
-    #[allow(unsafe_code)]
+    /// Numeric LDLᵀ of `A + diag(diag_add)`, where `values` is the buffer
+    /// the lower-triangle pattern of [`SymbolicLdl::analyze`] indexes into
+    /// (e.g. a [`JtjPattern`] accumulation) and `diag_add` is the
+    /// per-variable damping. Returns `false` when a pivot is not strictly
+    /// positive (the matrix is not numerically positive definite at this
+    /// damping) — the factor is then unusable and the caller should increase
+    /// the damping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num` was allocated by a different analysis.
     pub fn factor(&self, values: &[f64], diag_add: &[f64], num: &mut LdlNumeric) -> bool {
-        let n = self.n;
-        num.next_slot.copy_from_slice(&self.l_col_ptr[..n]);
-        let buffers = ColumnBuffers::from_numeric(num);
-        let pattern = num.pattern.as_mut_ptr();
-        for k in 0..n {
-            // SAFETY: exclusive `&mut num` — no other access is live.
-            if !unsafe { self.factor_column(k, values, diag_add, &buffers, pattern) } {
-                return false;
+        match (&self.kernel, &mut num.factor) {
+            (KernelSymbolic::Scalar(scalar), NumericFactor::Scalar(factor)) => {
+                self.factor_scalar(scalar, values, diag_add, factor, &mut num.d)
             }
-        }
-        true
-    }
-
-    /// One column of the up-looking factorization, operating through raw
-    /// pointers so independent elimination-tree subtrees can run on worker
-    /// threads over the *same* numeric buffers.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee that no concurrent `factor_column` call
-    /// touches an overlapping index set. Column `k` reads and writes only
-    /// `y`/`flag`/`next_slot`/`d` at `k` and its elimination-tree
-    /// descendants, and the `l_row`/`l_values` spans of those descendant
-    /// columns — so columns in **disjoint subtrees** never alias (the basis
-    /// of [`factor_parallel`](Self::factor_parallel)). `pattern` is a
-    /// caller-private stack of length ≥ `n`.
-    #[allow(unsafe_code)]
-    unsafe fn factor_column(
-        &self,
-        k: usize,
-        values: &[f64],
-        diag_add: &[f64],
-        buf: &ColumnBuffers,
-        pattern: *mut usize,
-    ) -> bool {
-        let n = self.n;
-        // Pattern of row k of L: nodes reachable from the column's
-        // entries through the elimination tree, in topological order.
-        let mut top = n;
-        *buf.flag.add(k) = k;
-        *buf.y.add(k) = 0.0;
-        for p in self.a_col_ptr[k]..self.a_col_ptr[k + 1] {
-            let i = self.a_row[p];
-            *buf.y.add(i) += values[self.a_val_pos[p]];
-            let mut len = 0;
-            let mut j = i;
-            while *buf.flag.add(j) != k {
-                *pattern.add(len) = j;
-                len += 1;
-                *buf.flag.add(j) = k;
-                j = self.parent[j];
+            (KernelSymbolic::Supernodal(supernodes), NumericFactor::Supernodal { panels, .. }) => {
+                supernodes.factor(
+                    values,
+                    diag_add,
+                    &self.a_diag_pos,
+                    &self.perm,
+                    panels,
+                    &mut num.d,
+                )
             }
-            while len > 0 {
-                len -= 1;
-                top -= 1;
-                *pattern.add(top) = *pattern.add(len);
-            }
-        }
-        let mut dk = values[self.a_diag_pos[k]] + diag_add[self.perm[k]];
-        for t in top..n {
-            let j = *pattern.add(t);
-            let yj = *buf.y.add(j);
-            *buf.y.add(j) = 0.0;
-            let slot = *buf.next_slot.add(j);
-            for p in self.l_col_ptr[j]..slot {
-                *buf.y.add(*buf.l_row.add(p)) -= *buf.l_values.add(p) * yj;
-            }
-            let dj = *buf.d.add(j);
-            let lkj = yj / dj;
-            dk -= lkj * yj;
-            *buf.l_row.add(slot) = k;
-            *buf.l_values.add(slot) = lkj;
-            *buf.next_slot.add(j) = slot + 1;
-        }
-        // A NaN pivot fails both comparisons, so non-finite values are
-        // rejected along with non-positive ones.
-        if dk <= 0.0 || !dk.is_finite() {
-            return false;
-        }
-        *buf.d.add(k) = dk;
-        true
-    }
-
-    /// Partitions the columns for parallel factorization: maximal
-    /// elimination-tree subtrees small enough to balance across `threads`
-    /// workers, plus the serial top-of-tree remainder.
-    ///
-    /// Columns inside a subtree stay in ascending order and the top columns
-    /// run last, also ascending — exactly the visit order of the serial
-    /// factorization, so the arithmetic (and the factor's bit pattern) is
-    /// unchanged no matter how subtrees are spread over workers.
-    pub fn subtree_schedule(&self, threads: usize) -> SubtreeSchedule {
-        let n = self.n;
-        // Subtree sizes: children precede parents (parent[k] > k), so one
-        // ascending pass suffices.
-        let mut size = vec![1usize; n];
-        for k in 0..n {
-            if self.parent[k] != NONE {
-                size[self.parent[k]] += size[k];
-            }
-        }
-        // A column is "top" when its subtree is too big to hand to one
-        // worker. Subtree size is monotone up the tree, so the top set is
-        // upward-closed and everything below it splits into independent
-        // subtrees.
-        let cutoff = (n / threads.max(1).saturating_mul(4)).max(32);
-        let is_top: Vec<bool> = size.iter().map(|&s| s > cutoff).collect();
-        // Assign each non-top column to the root of its maximal non-top
-        // subtree. Parents have larger indices, so a descending pass sees
-        // the parent's assignment first.
-        let mut root = vec![NONE; n];
-        for k in (0..n).rev() {
-            if is_top[k] {
-                continue;
-            }
-            let p = self.parent[k];
-            root[k] = if p == NONE || is_top[p] { k } else { root[p] };
-        }
-        let mut subtrees_by_root: Vec<Vec<usize>> = Vec::new();
-        let mut root_slot = vec![NONE; n];
-        let mut top = Vec::new();
-        for k in 0..n {
-            if is_top[k] {
-                top.push(k);
-            } else {
-                let r = root[k];
-                if root_slot[r] == NONE {
-                    root_slot[r] = subtrees_by_root.len();
-                    subtrees_by_root.push(Vec::new());
-                }
-                subtrees_by_root[root_slot[r]].push(k);
-            }
-        }
-        SubtreeSchedule {
-            subtrees: subtrees_by_root,
-            top,
+            _ => panic!("numeric buffers allocated for a different kernel"),
         }
     }
 
-    /// Like [`factor`](Self::factor), but with the independent
-    /// elimination-tree subtrees of [`subtree_schedule`](Self::
-    /// subtree_schedule) factored on up to `threads` worker threads before
-    /// the serial top-of-tree pass. Falls back to the serial path when the
-    /// budget or the schedule offers no parallelism.
-    ///
-    /// The result — factor values, pivots, and the success verdict — is
-    /// bitwise identical to the serial factorization: every column performs
-    /// the same operations in the same order, only *which thread* runs a
-    /// subtree changes.
-    #[allow(unsafe_code)]
+    /// The same factorization as [`factor`](Self::factor), kept for callers
+    /// that pass a thread budget: the factorization is serial, so `threads`
+    /// is ignored.
     pub fn factor_parallel(
         &self,
         values: &[f64],
@@ -836,68 +878,73 @@ impl SymbolicLdl {
         num: &mut LdlNumeric,
         threads: usize,
     ) -> bool {
-        if threads <= 1 || self.n < 64 {
-            return self.factor(values, diag_add, num);
-        }
-        let schedule = self.subtree_schedule(threads);
-        if schedule.subtrees.len() <= 1 {
-            return self.factor(values, diag_add, num);
-        }
+        let _ = threads;
+        self.factor(values, diag_add, num)
+    }
+
+    /// The up-looking scalar kernel: row `k` of `L` from a sparse triangular
+    /// solve over the elimination-tree reach of column `k`.
+    fn factor_scalar(
+        &self,
+        s: &ScalarSymbolic,
+        values: &[f64],
+        diag_add: &[f64],
+        num: &mut ScalarFactor,
+        d: &mut [f64],
+    ) -> bool {
         let n = self.n;
-        num.next_slot.copy_from_slice(&self.l_col_ptr[..n]);
-        let buffers = ColumnBuffers::from_numeric(num);
-        let ok = std::sync::atomic::AtomicBool::new(true);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let workers = threads.min(schedule.subtrees.len());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let buffers = &buffers;
-                let schedule = &schedule;
-                let ok = &ok;
-                let next = &next;
-                scope.spawn(move || {
-                    // Worker-private pattern stack; every other buffer is
-                    // shared but touched at subtree-disjoint indices.
-                    let mut pattern = vec![0usize; n];
-                    loop {
-                        let s = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if s >= schedule.subtrees.len()
-                            || !ok.load(std::sync::atomic::Ordering::Relaxed)
-                        {
-                            return;
-                        }
-                        for &k in &schedule.subtrees[s] {
-                            // SAFETY: columns of distinct subtrees touch
-                            // disjoint indices (see `factor_column`), and a
-                            // subtree is processed by exactly one worker.
-                            let fine = unsafe {
-                                self.factor_column(
-                                    k,
-                                    values,
-                                    diag_add,
-                                    buffers,
-                                    pattern.as_mut_ptr(),
-                                )
-                            };
-                            if !fine {
-                                ok.store(false, std::sync::atomic::Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                    }
-                });
+        let ScalarFactor {
+            l_row,
+            l_values,
+            y,
+            pattern,
+            flag,
+            next_slot,
+        } = num;
+        next_slot.copy_from_slice(&s.l_col_ptr[..n]);
+        for k in 0..n {
+            // Pattern of row k of L: nodes reachable from the column's
+            // entries through the elimination tree, in topological order.
+            let mut top = n;
+            flag[k] = k;
+            y[k] = 0.0;
+            let entries = s.a_col_ptr[k]..s.a_col_ptr[k + 1];
+            for (&i, &pos) in s.a_row[entries.clone()].iter().zip(&s.a_val_pos[entries]) {
+                y[i] += values[pos];
+                let mut len = 0;
+                let mut j = i;
+                while flag[j] != k {
+                    pattern[len] = j;
+                    len += 1;
+                    flag[j] = k;
+                    j = s.parent[j];
+                }
+                while len > 0 {
+                    len -= 1;
+                    top -= 1;
+                    pattern[top] = pattern[len];
+                }
             }
-        });
-        if !ok.load(std::sync::atomic::Ordering::Relaxed) {
-            return false;
-        }
-        // Top-of-tree columns depend on multiple subtrees: serial, ascending.
-        let pattern = num.pattern.as_mut_ptr();
-        for &k in &schedule.top {
-            // SAFETY: the worker scope has joined; access is exclusive again.
-            if !unsafe { self.factor_column(k, values, diag_add, &buffers, pattern) } {
+            let mut dk = values[self.a_diag_pos[k]] + diag_add[self.perm[k]];
+            for &j in &pattern[top..n] {
+                let yj = y[j];
+                y[j] = 0.0;
+                let column = s.l_col_ptr[j]..next_slot[j];
+                for (&i, &lij) in l_row[column.clone()].iter().zip(&l_values[column.clone()]) {
+                    y[i] -= lij * yj;
+                }
+                let lkj = yj / d[j];
+                dk -= lkj * yj;
+                l_row[column.end] = k;
+                l_values[column.end] = lkj;
+                next_slot[j] = column.end + 1;
+            }
+            // A NaN pivot fails both comparisons, so non-finite values are
+            // rejected along with non-positive ones.
+            if dk <= 0.0 || !dk.is_finite() {
                 return false;
             }
+            d[k] = dk;
         }
         true
     }
@@ -906,29 +953,42 @@ impl SymbolicLdl {
     /// last successful [`factor`](Self::factor) call on `num`.
     pub fn solve(&self, num: &mut LdlNumeric, b: &mut [f64]) {
         let n = self.n;
+        let work = &mut num.work;
         for k in 0..n {
-            num.work[k] = b[self.perm[k]];
+            work[k] = b[self.perm[k]];
         }
-        for k in 0..n {
-            let xk = num.work[k];
-            if xk != 0.0 {
-                for p in self.l_col_ptr[k]..self.l_col_ptr[k + 1] {
-                    num.work[num.l_row[p]] -= num.l_values[p] * xk;
+        match (&self.kernel, &mut num.factor) {
+            (KernelSymbolic::Scalar(s), NumericFactor::Scalar(f)) => {
+                let column = |k: usize| {
+                    let span = s.l_col_ptr[k]..s.l_col_ptr[k + 1];
+                    f.l_row[span.clone()].iter().zip(&f.l_values[span])
+                };
+                for k in 0..n {
+                    let xk = work[k];
+                    if xk != 0.0 {
+                        for (&i, &lik) in column(k) {
+                            work[i] -= lik * xk;
+                        }
+                    }
+                }
+                for k in 0..n {
+                    work[k] /= num.d[k];
+                }
+                for k in (0..n).rev() {
+                    let mut xk = work[k];
+                    for (&i, &lik) in column(k) {
+                        xk -= lik * work[i];
+                    }
+                    work[k] = xk;
                 }
             }
-        }
-        for k in 0..n {
-            num.work[k] /= num.d[k];
-        }
-        for k in (0..n).rev() {
-            let mut xk = num.work[k];
-            for p in self.l_col_ptr[k]..self.l_col_ptr[k + 1] {
-                xk -= num.l_values[p] * num.work[num.l_row[p]];
+            (KernelSymbolic::Supernodal(s), NumericFactor::Supernodal { panels, scratch }) => {
+                s.solve(panels, &num.d, work, scratch);
             }
-            num.work[k] = xk;
+            _ => panic!("numeric buffers allocated for a different kernel"),
         }
         for k in 0..n {
-            b[self.perm[k]] = num.work[k];
+            b[self.perm[k]] = work[k];
         }
     }
 }
@@ -1079,74 +1139,50 @@ mod tests {
     }
 
     #[test]
-    fn the_subtree_schedule_partitions_every_column_exactly_once() {
-        // Four 25-column chains coupled only through their last columns: the
-        // elimination tree is four branches meeting below a small top — the
-        // shape subtree parallelism exploits. (A single band would give a
-        // path etree and, correctly, a single subtree.)
-        let mut patterns: Vec<Vec<usize>> = Vec::new();
-        for g in 0..4 {
-            for i in 0..24 {
-                patterns.push(vec![25 * g + i, 25 * g + i + 1]);
-            }
-        }
-        patterns.push(vec![24, 49, 74, 99]);
-        let jtj = JtjPattern::new(100, patterns);
-        let (row_ptr, col_idx) = jtj.pattern();
-        let symbolic = SymbolicLdl::analyze(100, row_ptr, col_idx);
-        let schedule = symbolic.subtree_schedule(4);
-        let mut seen = vec![0usize; 100];
-        for subtree in schedule.subtrees() {
-            assert!(!subtree.is_empty());
-            for w in subtree.windows(2) {
-                assert!(w[0] < w[1], "subtree columns must ascend");
-            }
-            for &k in subtree {
-                seen[k] += 1;
-            }
-        }
-        for w in schedule.top().windows(2) {
-            assert!(w[0] < w[1], "top columns must ascend");
-        }
-        for &k in schedule.top() {
-            seen[k] += 1;
-        }
-        assert!(
-            seen.iter().all(|&c| c == 1),
-            "every column appears exactly once: {seen:?}"
-        );
-        assert!(
-            schedule.subtrees().len() > 1,
-            "a banded etree must split into multiple subtrees"
-        );
-    }
-
-    #[test]
-    fn parallel_factorization_rejects_what_the_serial_one_rejects() {
-        // 80 decoupled 2×2 indefinite blocks: the failing pivot sits inside
-        // a worker subtree, not the serial top.
-        let patterns: Vec<Vec<usize>> = (0..40).map(|i| vec![2 * i, 2 * i + 1]).collect();
-        let jtj = JtjPattern::new(80, patterns);
+    fn both_kernels_reject_indefinite_and_nan_matrices() {
+        // 40 decoupled 2×2 blocks plus one 40-variable block, each the
+        // outer product of an all-ones row: singular, so without damping a
+        // pivot is exactly zero — in a one-column supernode and inside the
+        // wide one.
+        let mut patterns: Vec<Vec<usize>> = (0..40).map(|i| vec![2 * i, 2 * i + 1]).collect();
+        patterns.push((80..120).collect());
+        let jtj = JtjPattern::new(120, patterns.clone());
         let mut values = jtj.values_buffer();
         let mut scratch = JtjScratch::default();
-        for i in 0..40 {
-            // Outer product [1, 1]: singular, so the second pivot of each
-            // block is exactly zero without damping.
-            jtj.accumulate_row(i, &[(2 * i, 1.0), (2 * i + 1, 1.0)], &mut values, &mut scratch);
+        for (r, vars) in patterns.iter().enumerate() {
+            let ones: Vec<(usize, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
+            jtj.accumulate_row(r, &ones, &mut values, &mut scratch);
         }
         let (row_ptr, col_idx) = jtj.pattern();
-        let symbolic = SymbolicLdl::analyze(80, row_ptr, col_idx);
-        let mut numeric = symbolic.numeric();
-        let zero = vec![0.0; 80];
-        assert!(!symbolic.factor_parallel(&values, &zero, &mut numeric, 4));
-        // Damping restores positive definiteness — including after the
-        // failed attempt (no stale state may leak between factor calls).
-        let damp = vec![1e-3; 80];
-        assert!(symbolic.factor_parallel(&values, &damp, &mut numeric, 4));
-        let mut serial = symbolic.numeric();
-        assert!(symbolic.factor(&values, &damp, &mut serial));
-        assert_eq!(serial.pivots(), numeric.pivots());
-        assert_eq!(serial.factor_values(), numeric.factor_values());
+        // An off-diagonal NaN inside the wide block.
+        let mut poisoned = values.clone();
+        poisoned[row_ptr[101]] = f64::NAN;
+        let zero = vec![0.0; 120];
+        let damp = vec![1e-3; 120];
+        let mut pivots = Vec::new();
+        for kernel in [LdlKernel::Scalar, LdlKernel::Supernodal] {
+            let symbolic = SymbolicLdl::analyze_with_kernel(120, row_ptr, col_idx, kernel);
+            let mut numeric = symbolic.numeric();
+            assert!(!symbolic.factor(&values, &zero, &mut numeric), "{kernel:?}");
+            assert!(
+                !symbolic.factor(&poisoned, &damp, &mut numeric),
+                "{kernel:?}"
+            );
+            // Damping restores positive definiteness — including after the
+            // failed attempts (no stale state may leak between factor
+            // calls).
+            assert!(symbolic.factor(&values, &damp, &mut numeric), "{kernel:?}");
+            // The kernels order the columns differently: compare pivots by
+            // variable.
+            let mut by_variable = vec![0.0; 120];
+            for (&variable, &pivot) in symbolic.permutation().iter().zip(numeric.pivots()) {
+                by_variable[variable] = pivot;
+            }
+            pivots.push(by_variable);
+        }
+        for (s, p) in pivots[0].iter().zip(&pivots[1]) {
+            assert!((s - p).abs() <= 1e-9 * s.abs(), "pivot {s} vs {p}");
+        }
     }
 
     #[test]

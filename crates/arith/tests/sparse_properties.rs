@@ -3,7 +3,7 @@
 //! LDLᵀ factor-solve must agree with the corresponding dense
 //! [`Matrix`](polyinv_arith::Matrix) computations on random sparse systems.
 
-use polyinv_arith::sparse::{CsrMatrix, JtjPattern, JtjScratch, SymbolicLdl};
+use polyinv_arith::sparse::{CsrMatrix, JtjPattern, JtjScratch, LdlKernel, SymbolicLdl};
 use polyinv_arith::{Matrix, Vector};
 use proptest::prelude::*;
 
@@ -68,6 +68,70 @@ fn patterns_of(system: &SparseSystem) -> Vec<Vec<usize>> {
         .iter()
         .map(|row| row.iter().map(|&(c, _)| c).collect())
         .collect()
+}
+
+/// The `JᵀJ` pattern of a system and its accumulated values.
+fn normal_matrix(system: &SparseSystem) -> (JtjPattern, Vec<f64>) {
+    let pattern = JtjPattern::new(system.cols, patterns_of(system));
+    let mut values = pattern.values_buffer();
+    let mut scratch = JtjScratch::default();
+    for (r, row) in system.entries.iter().enumerate() {
+        pattern.accumulate_row(r, row, &mut values, &mut scratch);
+    }
+    (pattern, values)
+}
+
+/// The dense oracle: solves `(JᵀJ + damping·I) x = b`.
+fn dense_solve(pattern: &JtjPattern, values: &[f64], damping: f64, b: &[f64]) -> Vector {
+    let mut dense = pattern.to_dense(values);
+    for i in 0..b.len() {
+        dense.add_to(i, i, damping);
+    }
+    dense.solve(&Vector::from_slice(b)).expect("PD system")
+}
+
+/// The pivots of a factorization keyed by original variable: the two
+/// kernels eliminate the variables in different orders.
+fn pivots_by_variable(symbolic: &SymbolicLdl, pivots: &[f64]) -> Vec<f64> {
+    let mut by_variable = vec![0.0; pivots.len()];
+    for (&variable, &pivot) in symbolic.permutation().iter().zip(pivots) {
+        by_variable[variable] = pivot;
+    }
+    by_variable
+}
+
+/// An arrowhead Jacobian, the shape of the ϒ = 2 normal equations:
+/// `blocks` local blocks of three variables, each row coupling a local
+/// variable and its neighbour to two of the `coupling` trailing variables,
+/// plus three rows spanning most of the coupling block. The dense coupling
+/// block lifts the flops per factor entry above the supernodal threshold.
+/// `picks` supplies the coupling choices and values, cyclically.
+fn arrowhead_system(coupling: usize, blocks: usize, picks: &[(usize, f64)]) -> SparseSystem {
+    let local = 3 * blocks;
+    let mut draws = picks.iter().copied().cycle();
+    let mut raw: Vec<Vec<(usize, f64)>> = Vec::new();
+    for b in 0..blocks {
+        for v in 0..3 {
+            let mut row = vec![
+                (3 * b + v, draws.next().unwrap().1),
+                (3 * b + (v + 1) % 3, draws.next().unwrap().1),
+            ];
+            for _ in 0..2 {
+                let (c, value) = draws.next().unwrap();
+                row.push((local + c % coupling, value));
+            }
+            raw.push(row);
+        }
+    }
+    for r in 0..3 {
+        raw.push(
+            (0..coupling)
+                .filter(|c| (c + r) % 7 != 0)
+                .map(|c| (local + c, draws.next().unwrap().1))
+                .collect(),
+        );
+    }
+    build_system(raw.len(), local + coupling, raw)
 }
 
 proptest! {
@@ -231,55 +295,116 @@ proptest! {
     }
 
     #[test]
-    fn subtree_parallel_factor_is_bitwise_equal_to_serial(
-        raw in proptest::collection::vec(
-            proptest::collection::vec((0usize..96, -4.0f64..4.0), 0..5),
-            48,
-        ),
+    fn supernodal_factor_solve_matches_dense_on_arrowhead_patterns(
+        coupling in 96usize..128,
+        blocks in 2usize..20,
+        picks in proptest::collection::vec((0usize..1000, -4.0f64..4.0), 64),
         damping in 0.01f64..2.0,
-        threads in 2usize..9,
     ) {
-        // A 96-variable system: big enough to clear factor_parallel's
-        // small-matrix fallback and produce a real subtree schedule.
-        let n = 96;
-        let system = build_system(48, n, raw);
-        let pattern = JtjPattern::new(n, patterns_of(&system));
-        let mut values = pattern.values_buffer();
-        let mut scratch = JtjScratch::default();
-        for (r, row) in system.entries.iter().enumerate() {
-            pattern.accumulate_row(r, row, &mut values, &mut scratch);
-        }
+        let system = arrowhead_system(coupling, blocks, &picks);
+        let n = system.cols;
+        let (pattern, values) = normal_matrix(&system);
         let (row_ptr, col_idx) = pattern.pattern();
         let symbolic = SymbolicLdl::analyze(n, row_ptr, col_idx);
+        prop_assert!(
+            symbolic.flops_per_entry() >= 50.0,
+            "arrowhead ratio {} below the threshold", symbolic.flops_per_entry()
+        );
+        prop_assert_eq!(symbolic.kernel(), LdlKernel::Supernodal);
         let diag_add = vec![damping; n];
-        let mut serial = symbolic.numeric();
-        prop_assert!(symbolic.factor(&values, &diag_add, &mut serial));
-        let mut parallel = symbolic.numeric();
-        prop_assert!(symbolic.factor_parallel(&values, &diag_add, &mut parallel, threads));
-        // Bitwise: every pivot and factor entry, not just "close".
-        prop_assert_eq!(
-            serial.pivots().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            parallel.pivots().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        prop_assert_eq!(
-            serial.factor_values().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            parallel.factor_values().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        // And the parallel factor solves against the dense oracle.
+        let mut numeric = symbolic.numeric();
+        prop_assert!(symbolic.factor(&values, &diag_add, &mut numeric));
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut x = b.clone();
-        symbolic.solve(&mut parallel, &mut x);
-        let mut dense = pattern.to_dense(&values);
-        for i in 0..n {
-            dense.add_to(i, i, damping);
-        }
-        let oracle = dense.solve(&Vector::from_slice(&b)).expect("PD system");
+        symbolic.solve(&mut numeric, &mut x);
+        let oracle = dense_solve(&pattern, &values, damping, &b);
         for i in 0..n {
             prop_assert!(
                 (x[i] - oracle[i]).abs() < 1e-6 * (1.0 + oracle[i].abs()),
                 "solve mismatch at {}: {} vs {}", i, x[i], oracle[i]
             );
         }
+        // Other kernel, same factor up to the order of its columns: the
+        // pivots of every variable agree to rounding.
+        let scalar = SymbolicLdl::analyze_with_kernel(n, row_ptr, col_idx, LdlKernel::Scalar);
+        prop_assert_eq!(scalar.nnz_factor(), symbolic.nnz_factor());
+        let mut scalar_numeric = scalar.numeric();
+        prop_assert!(scalar.factor(&values, &diag_add, &mut scalar_numeric));
+        let (s, p) = (
+            pivots_by_variable(&scalar, scalar_numeric.pivots()),
+            pivots_by_variable(&symbolic, numeric.pivots()),
+        );
+        for (s, p) in s.iter().zip(&p) {
+            prop_assert!((s - p).abs() <= 1e-9 * s.abs(), "pivot {} vs {}", s, p);
+        }
+    }
+
+    #[test]
+    fn supernodal_kernel_matches_dense_on_random_sparse_patterns(
+        raw in proptest::collection::vec(
+            proptest::collection::vec((0usize..96, -4.0f64..4.0), 0..5),
+            48,
+        ),
+        damping in 0.01f64..2.0,
+    ) {
+        // Sparse random patterns make many one-column supernodes and
+        // descendants that reach several ancestors: the kernel's corner
+        // cases, forced here because `analyze` would pick the scalar one.
+        let n = 96;
+        let system = build_system(48, n, raw);
+        let (pattern, values) = normal_matrix(&system);
+        let (row_ptr, col_idx) = pattern.pattern();
+        let symbolic = SymbolicLdl::analyze_with_kernel(n, row_ptr, col_idx, LdlKernel::Supernodal);
+        let mut numeric = symbolic.numeric();
+        prop_assert!(symbolic.factor(&values, &vec![damping; n], &mut numeric));
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos()).collect();
+        let mut x = b.clone();
+        symbolic.solve(&mut numeric, &mut x);
+        let oracle = dense_solve(&pattern, &values, damping, &b);
+        for i in 0..n {
+            prop_assert!(
+                (x[i] - oracle[i]).abs() < 1e-6 * (1.0 + oracle[i].abs()),
+                "solve mismatch at {}: {} vs {}", i, x[i], oracle[i]
+            );
+        }
+    }
+
+    #[test]
+    fn supernodal_factorization_is_bitwise_repeatable_at_any_thread_count(
+        coupling in 96usize..112,
+        blocks in 2usize..12,
+        picks in proptest::collection::vec((0usize..1000, -4.0f64..4.0), 64),
+        damping in 0.01f64..2.0,
+        threads in 2usize..9,
+    ) {
+        let system = arrowhead_system(coupling, blocks, &picks);
+        let n = system.cols;
+        let (pattern, values) = normal_matrix(&system);
+        let (row_ptr, col_idx) = pattern.pattern();
+        let symbolic = SymbolicLdl::analyze(n, row_ptr, col_idx);
+        let diag_add = vec![damping; n];
+        let mut fresh = symbolic.numeric();
+        prop_assert!(symbolic.factor(&values, &diag_add, &mut fresh));
+        // A reused buffer, last used at another damping and then for a
+        // rejected factorization, must not leak state into the next one.
+        let mut reused = symbolic.numeric();
+        prop_assert!(symbolic.factor(&values, &vec![10.0 * damping; n], &mut reused));
+        let mut poisoned = values.clone();
+        poisoned[0] = f64::NAN;
+        prop_assert!(!symbolic.factor(&poisoned, &diag_add, &mut reused));
+        prop_assert!(symbolic.factor_parallel(&values, &diag_add, &mut reused, threads));
+        prop_assert_eq!(
+            fresh.pivots().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            reused.pivots().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let (mut x1, mut x2) = (b.clone(), b);
+        symbolic.solve(&mut fresh, &mut x1);
+        symbolic.solve(&mut reused, &mut x2);
+        prop_assert_eq!(
+            x1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            x2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

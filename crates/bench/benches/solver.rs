@@ -18,20 +18,26 @@
 //!   acceptance number (expect ≥3× on an 8-core box; on fewer cores the
 //!   curve flattens accordingly — the outputs stay byte-identical either
 //!   way).
+//! * `ldl_factor` — the numeric LDLᵀ alone on the presolved ϒ = 2
+//!   recursive-sum system, scalar kernel against supernodal kernel (the
+//!   one `SymbolicLdl::analyze` picks for it).
 //! * `symbolic_setup` — the once-per-problem cost the sparse path amortizes
 //!   (pattern construction + minimum-degree ordering + symbolic LDLᵀ).
 //! * `weak_synthesis_e2e` — an end-to-end weak synthesis (Steps 1–4)
 //!   through the Engine on a small program.
 //!
 //! CI smoke-compiles everything and short-runs the sparse iteration
-//! benches (`cargo bench -p polyinv-bench --bench solver -- sparse`); the
-//! full runs — including the slow dense oracle and the large-system
+//! benches (`cargo bench -p polyinv-bench --bench solver -- sparse`) and
+//! the factor kernels (`-- ldl_factor`); the full runs — including the slow dense oracle and the large-system
 //! scaling group — are for local perf work.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use polyinv_bench::probe::{dense_iteration, presolved_table_problem, table_problem, SparseProbe};
+use polyinv_arith::LdlKernel;
+use polyinv_bench::probe::{
+    dense_iteration, presolved_table_problem, table_problem, NormalSystem, SparseProbe,
+};
 
 fn lm_iteration(c: &mut Criterion) {
     let mut group = c.benchmark_group("lm_iteration");
@@ -88,6 +94,27 @@ fn lm_iteration_large(c: &mut Criterion) {
     group.finish();
 }
 
+fn ldl_factor(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ldl_factor");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(5));
+    let system = NormalSystem::new(&presolved_table_problem("recursive-sum"), 1e-3);
+    for (label, kernel) in [
+        ("scalar", LdlKernel::Scalar),
+        ("supernodal", LdlKernel::Supernodal),
+    ] {
+        let symbolic = system.symbolic_with(kernel);
+        let mut numeric = symbolic.numeric();
+        group.bench_function(format!("{label}/recursive-sum"), |b| {
+            b.iter(|| {
+                assert!(symbolic.factor(&system.values, &system.diag_add, &mut numeric));
+            })
+        });
+    }
+    group.finish();
+}
+
 fn symbolic_setup(c: &mut Criterion) {
     let mut group = c.benchmark_group("symbolic_setup");
     group
@@ -130,6 +157,7 @@ criterion_group!(
     benches,
     lm_iteration,
     lm_iteration_large,
+    ldl_factor,
     symbolic_setup,
     weak_synthesis_e2e
 );

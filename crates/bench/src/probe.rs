@@ -14,7 +14,7 @@
 //! pre-rewrite computation (dense `m×n` Jacobian, dense transpose and
 //! `JᵀJ`, `O(n³)` solve) as the comparison oracle.
 
-use polyinv_arith::{LdlNumeric, Matrix, Vector};
+use polyinv_arith::{LdlKernel, LdlNumeric, Matrix, SymbolicLdl, Vector};
 use polyinv_lang::Precondition;
 use polyinv_qcqp::{LmEvaluator, LmWorkspace, Problem};
 
@@ -43,11 +43,21 @@ pub fn table_problem(name: &str) -> Problem {
 ///
 /// Panics on unknown benchmark names.
 pub fn presolved_table_problem(name: &str) -> Problem {
+    presolved_rung_problem(name, 2)
+}
+
+/// [`presolved_table_problem`] at ϒ = `upsilon` (the table runs use 2,
+/// the orchestrator's first rung 0).
+///
+/// # Panics
+///
+/// Panics on unknown benchmark names.
+pub fn presolved_rung_problem(name: &str, upsilon: u32) -> Problem {
     let benchmark = polyinv_benchmarks::by_name(name).unwrap();
     let program = benchmark.program().unwrap();
     let pre = Precondition::from_program(&program);
-    let generated =
-        polyinv_constraints::generate(&program, &pre, &options_for(&benchmark)).unwrap();
+    let options = options_for(&benchmark).with_upsilon(upsilon);
+    let generated = polyinv_constraints::generate(&program, &pre, &options).unwrap();
     let presolved = polyinv_constraints::presolve(
         &generated.system,
         &std::collections::HashMap::new(),
@@ -126,6 +136,57 @@ impl SparseProbe {
         let mut step = eval.jtr().to_vec();
         self.ws.symbolic().solve(&mut self.numeric, &mut step);
         step.iter().sum()
+    }
+}
+
+/// The damped normal matrix `JᵀJ + λ(1 + diag)` of a problem at a fixed,
+/// non-trivial point — the system one LM factorization sees — for
+/// measuring and comparing the LDLᵀ kernels on their own.
+#[derive(Debug)]
+pub struct NormalSystem {
+    /// The solver's symbolic workspace: pattern, ordering and the kernel
+    /// [`SymbolicLdl::analyze`] picked.
+    pub workspace: LmWorkspace,
+    /// The `JᵀJ` values in the workspace's pattern.
+    pub values: Vec<f64>,
+    /// The damping added to the diagonal.
+    pub diag_add: Vec<f64>,
+    /// `Jᵀr`, a right-hand side with the scale of an LM step.
+    pub rhs: Vec<f64>,
+}
+
+impl NormalSystem {
+    /// Evaluates `problem`'s normal equations at a fixed point with the
+    /// conditioning of a mid-solve iterate, damped by `lambda`.
+    pub fn new(problem: &Problem, lambda: f64) -> Self {
+        let workspace = LmWorkspace::build(problem, 0.0);
+        let x: Vec<f64> = (0..problem.num_vars)
+            .map(|i| 0.25 + 0.5 * ((i * 7919) % 101) as f64 / 101.0)
+            .collect();
+        let (values, rhs) = {
+            let mut eval = LmEvaluator::new(problem, &workspace, 0.0, 1);
+            eval.residuals_and_normal(&x);
+            (eval.jtj_values().to_vec(), eval.jtr().to_vec())
+        };
+        let diag_add = workspace
+            .pattern()
+            .diag_positions()
+            .iter()
+            .map(|&p| lambda * (1.0 + values[p]))
+            .collect();
+        NormalSystem {
+            workspace,
+            values,
+            diag_add,
+            rhs,
+        }
+    }
+
+    /// The analysis of the same pattern with the kernel fixed to `kernel`.
+    pub fn symbolic_with(&self, kernel: LdlKernel) -> SymbolicLdl {
+        let pattern = self.workspace.pattern();
+        let (row_ptr, col_idx) = pattern.pattern();
+        SymbolicLdl::analyze_with_kernel(pattern.dimension(), row_ptr, col_idx, kernel)
     }
 }
 

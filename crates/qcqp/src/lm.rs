@@ -66,11 +66,11 @@ pub struct LmOptions {
     pub stall_iterations: usize,
     /// Wall-clock budget in seconds for the whole solve, shared across all
     /// restarts; any restart past the deadline stops at the next iteration
-    /// boundary and returns its best-so-far point. `0` disables the
-    /// deadline.
+    /// boundary or damping retry, whichever comes first, and returns its
+    /// best-so-far point. `0` disables the deadline.
     pub max_seconds: f64,
-    /// Worker threads for the *intra-iteration* parallelism (chunked
-    /// residual evaluation and subtree-parallel factorization). `0` lets the
+    /// Worker threads for the *intra-iteration* parallelism (the chunked
+    /// residual evaluation; the factorization is serial). `0` lets the
     /// [`ThreadBudget`](crate::ThreadBudget) arbiter decide from the row
     /// count and the global `POLYINV_THREADS` budget; an explicit value
     /// pins it (the criterion benches sweep 1/2/4/8 this way).
@@ -100,6 +100,10 @@ impl Default for LmOptions {
         }
     }
 }
+
+/// The wall-clock check a restart polls: `true` once the solve's
+/// `max_seconds` have elapsed (never when the budget is `0`).
+type Deadline<'a> = dyn Fn() -> bool + Sync + 'a;
 
 /// Relative violation decrease below which an iteration counts as stalled:
 /// the kind of 1e-6-per-iteration trickle that burned minutes on a single
@@ -264,11 +268,21 @@ impl LmSolver {
         // the restart count. `restart_workers == 1` degrades to the classic
         // sequential first-feasible-wins loop.
         let started = Instant::now();
+        let max_seconds = self.options.max_seconds;
+        let past_deadline =
+            move || max_seconds > 0.0 && started.elapsed().as_secs_f64() >= max_seconds;
         let outcomes = crate::par::parallel_indexed_until_bounded(
             restarts,
             restart_workers,
             |restart| {
-                self.run_restart(problem, workspace, warm_start, restart, started, eval_threads)
+                self.run_restart(
+                    problem,
+                    workspace,
+                    warm_start,
+                    restart,
+                    &past_deadline,
+                    eval_threads,
+                )
             },
             |outcome| outcome.status == SolveStatus::Feasible,
         );
@@ -295,7 +309,7 @@ impl LmSolver {
         workspace: &LmWorkspace,
         warm_start: Option<&[f64]>,
         restart: usize,
-        started: Instant,
+        past_deadline: &Deadline<'_>,
         eval_threads: usize,
     ) -> SolveOutcome {
         let mut rng = StdRng::seed_from_u64(self.options.seed.wrapping_add(restart as u64));
@@ -306,7 +320,7 @@ impl LmSolver {
                 .collect(),
         };
         problem.clamp(&mut x);
-        self.solve_from(problem, workspace, &mut x, started, eval_threads)
+        self.solve_from(problem, workspace, &mut x, past_deadline, eval_threads)
     }
 
     /// Deterministic selection: the first feasible outcome in restart order,
@@ -341,12 +355,16 @@ impl LmSolver {
         best.expect("at least one restart runs")
     }
 
+    /// One restart from `x`. `past_deadline` is checked at every iteration
+    /// boundary and before every factorization, so a solve whose budget
+    /// runs out mid-iteration returns its best point without another
+    /// factorization.
     fn solve_from(
         &self,
         problem: &Problem,
         ws: &LmWorkspace,
         x: &mut Vec<f64>,
-        started: Instant,
+        past_deadline: &Deadline<'_>,
         eval_threads: usize,
     ) -> SolveOutcome {
         let opts = &self.options;
@@ -389,7 +407,7 @@ impl LmSolver {
 
         let mut stalled = 0usize;
         for _ in 0..opts.max_iterations {
-            if opts.max_seconds > 0.0 && started.elapsed().as_secs_f64() >= opts.max_seconds {
+            if past_deadline() {
                 break;
             }
             stats.iterations += 1;
@@ -408,21 +426,22 @@ impl LmSolver {
                 break;
             }
 
-            // Try steps with increasing damping until one reduces the cost.
+            // Try steps with increasing damping until one reduces the cost,
+            // or until the budget runs out.
             let mut accepted = false;
             for _ in 0..8 {
+                if past_deadline() {
+                    break;
+                }
                 let diag = ws.pattern.diag_positions();
                 for i in 0..n {
                     diag_add[i] = lambda * (1.0 + eval.jtj_values[diag[i]]);
                 }
                 stats.factorizations += 1;
                 let factor_start = Instant::now();
-                let factored = ws.symbolic.factor_parallel(
-                    &eval.jtj_values,
-                    &diag_add,
-                    &mut numeric,
-                    eval_threads,
-                );
+                let factored = ws
+                    .symbolic
+                    .factor(&eval.jtj_values, &diag_add, &mut numeric);
                 stats.factor_seconds += factor_start.elapsed().as_secs_f64();
                 if !factored {
                     lambda *= opts.lambda_up;
@@ -1147,6 +1166,38 @@ mod tests {
         let outcome = solver.solve(&problem, Some(&[0.5]));
         assert_eq!(outcome.stats.iterations, 0);
         assert!((outcome.assignment[0] - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_deadline_passing_mid_iteration_stops_before_the_next_factorization() {
+        // x² + 1 = 0 from x = 0: the gradient vanishes, so every damped
+        // step is zero and rejected, and an iteration would retry its
+        // factorization 8 times. The clock turns past the deadline after
+        // the iteration boundary and the first factorization.
+        let mut problem = Problem::new(1);
+        problem.equalities.push(QuadraticForm {
+            constant: 1.0,
+            linear: Vec::new(),
+            quadratic: vec![(0, 0, 1.0)],
+        });
+        let solver = LmSolver::new(LmOptions {
+            restarts: 1,
+            ..LmOptions::default()
+        });
+        let workspace = LmWorkspace::build(&problem, 0.0);
+        let polls = std::sync::atomic::AtomicUsize::new(0);
+        let past_deadline = || polls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) >= 2;
+        let mut x = vec![0.0];
+        let outcome = solver.solve_from(&problem, &workspace, &mut x, &past_deadline, 1);
+        assert_eq!(outcome.stats.iterations, 1);
+        assert_eq!(outcome.stats.factorizations, 1);
+        assert_eq!(outcome.assignment, vec![0.0]);
+        assert!((outcome.violation - 1.0).abs() < 1e-12);
+        // Without a deadline the same iteration runs all its retries.
+        let never = || false;
+        let mut x = vec![0.0];
+        let unbounded = solver.solve_from(&problem, &workspace, &mut x, &never, 1);
+        assert_eq!(unbounded.stats.factorizations, 8);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! invariant (Lemma 3.6), which is re-checked downstream.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -37,8 +38,9 @@ pub struct AlmOptions {
     /// Standard deviation of the random initialization noise.
     pub init_scale: f64,
     /// Wall-clock budget in seconds over all restarts; once exceeded, the
-    /// current restart stops at the next outer-iteration boundary and no
-    /// further restarts launch. `0` disables the deadline.
+    /// current restart stops before its next Adam step (dropping its
+    /// half-finished outer round, as a stop does) and no further restarts
+    /// launch. `0` disables the deadline.
     pub max_seconds: f64,
 }
 
@@ -122,13 +124,11 @@ impl AlmSolver {
         let mut best: Option<SolveOutcome> = None;
         let mut stats = SolverStats::default();
         let restarts = self.options.restarts.max(1);
-        let started = std::time::Instant::now();
-        let deadline = (self.options.max_seconds > 0.0).then_some(self.options.max_seconds);
+        let started = Instant::now();
+        let deadline = (self.options.max_seconds > 0.0)
+            .then(|| started + Duration::from_secs_f64(self.options.max_seconds));
         for restart in 0..restarts {
-            if restart > 0
-                && (stopped(stop)
-                    || deadline.is_some_and(|budget| started.elapsed().as_secs_f64() >= budget))
-            {
+            if restart > 0 && (stopped(stop) || past(deadline)) {
                 break;
             }
             let mut rng = StdRng::seed_from_u64(self.options.seed.wrapping_add(restart as u64));
@@ -138,8 +138,7 @@ impl AlmSolver {
                     .map(|_| rng.random_range(-self.options.init_scale..self.options.init_scale))
                     .collect(),
             };
-            let remaining = deadline.map(|budget| budget - started.elapsed().as_secs_f64());
-            let outcome = self.solve_from(problem, &mut x, &mut rng, remaining, stop);
+            let outcome = self.solve_from(problem, &mut x, &mut rng, deadline, stop);
             stats.absorb_restart(&outcome.stats);
             let better = match &best {
                 None => true,
@@ -173,12 +172,11 @@ impl AlmSolver {
         problem: &Problem,
         x: &mut [f64],
         rng: &mut StdRng,
-        max_seconds: Option<f64>,
+        deadline: Option<Instant>,
         stop: &AtomicBool,
     ) -> SolveOutcome {
         let n = problem.num_vars;
         let opts = &self.options;
-        let started = std::time::Instant::now();
         let mut rho = opts.initial_penalty;
         // Multiplier estimates.
         let mut lambda_eq = vec![0.0; problem.equalities.len()];
@@ -211,14 +209,12 @@ impl AlmSolver {
         let mut best_objective = objective_at(x);
 
         'outer: for outer in 0..opts.outer_iterations {
-            if max_seconds.is_some_and(|budget| started.elapsed().as_secs_f64() >= budget) {
-                break;
-            }
             let mut step_count = 0.0f64;
             for _ in 0..opts.inner_iterations {
-                // A stopped solve keeps the best point of the completed
-                // outer rounds; the half-finished round is dropped.
-                if stopped(stop) {
+                // A stopped or timed-out solve keeps the best point of the
+                // completed outer rounds; the half-finished round is
+                // dropped.
+                if stopped(stop) || past(deadline) {
                     break 'outer;
                 }
                 total_iterations += 1;
@@ -335,6 +331,11 @@ impl AlmSolver {
 /// has to be seen eventually.
 fn stopped(stop: &AtomicBool) -> bool {
     stop.load(Ordering::Relaxed)
+}
+
+/// Whether the wall-clock deadline, if any, has passed.
+fn past(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|at| Instant::now() >= at)
 }
 
 #[cfg(test)]
@@ -505,6 +506,23 @@ mod tests {
             Some(&warm),
             &AtomicBool::new(true),
         );
+        assert_eq!(outcome.assignment, warm);
+        assert_eq!(outcome.iterations, 0);
+        assert_eq!(outcome.stats.iterations, 0);
+        assert_eq!(outcome.stats.restarts, 1, "no restart after the first");
+        assert_eq!(outcome.status, SolveStatus::Infeasible);
+        assert_eq!(outcome.violation, problem.max_violation(&warm));
+    }
+
+    #[test]
+    fn the_smallest_positive_budget_returns_the_warm_start_without_a_step() {
+        let problem = bilinear_problem();
+        let warm = [0.5, -0.25];
+        let outcome = AlmSolver::new(AlmOptions {
+            max_seconds: f64::MIN_POSITIVE,
+            ..options_fast()
+        })
+        .solve(&problem, Some(&warm));
         assert_eq!(outcome.assignment, warm);
         assert_eq!(outcome.iterations, 0);
         assert_eq!(outcome.stats.iterations, 0);
